@@ -48,7 +48,7 @@ from .moments import (
 from .oracle import enumerate_distribution, exact_chf_ode, exact_dk, verify_couplings
 from .coupling import assemble_bound, estimate_r, r3_theoretical, DEFAULT_T_GRID
 from .patterns import enumerate_classes, moment_bound_check, pattern_cov_check
-from .sampler import SamplerConfig, gnp_edge_bits, proxy_samples
+from .sampler import gnp_edge_bits, proxy_samples, stream_chunks
 
 OUTPUT_DIR_ENV = "TRICLT_OUT"
 DEFAULT_DKW_DELTA = 0.01
@@ -115,24 +115,12 @@ def sample_w(n: int, p: float, samples: int, seed: int, streams: int = 1) -> np.
     exact moments.  Work is split across `streams` counter-based streams and
     merged in fixed stream order, so the result is independent of how the
     streams would be scheduled."""
-    if samples < 1 or streams < 1:
-        raise ConfigError("samples and streams must be >= 1")
+    chunks = stream_chunks(n, p, seed, samples, streams, _chunk_size(n))
     mom = exact_moments(n, p)
     out = np.empty(samples, dtype=np.float64)
-    share = samples // streams
-    sizes = [share + (1 if s < samples - share * streams else 0) for s in range(streams)]
-    pos = 0
-    for s, size in enumerate(sizes):
-        cfg = SamplerConfig(n=n, p=p, seed=seed, stream=s)
-        done = 0
-        step = _chunk_size(n)
-        while done < size:
-            c = min(step, size - done)
-            bits = gnp_edge_bits(cfg, done, c)
-            t_counts = batch_triangle_counts(bits, n)
-            out[pos : pos + c] = (t_counts - mom.mean_t) / mom.sigma
-            pos += c
-            done += c
+    for cfg, start, count, pos in chunks:
+        t_counts = batch_triangle_counts(gnp_edge_bits(cfg, start, count), n)
+        out[pos : pos + count] = (t_counts - mom.mean_t) / mom.sigma
     return out
 
 
@@ -140,23 +128,13 @@ def sample_proxy_w(
     n: int, p: float, samples: int, seed: int, streams: int = 1
 ) -> np.ndarray:
     """Standardised proxy draws (Y - EY)/sd(Y), exact proxy moments."""
-    if samples < 1 or streams < 1:
-        raise ConfigError("samples and streams must be >= 1")
+    step = max(128, (1 << 22) // (n * (n - 1) // 2))
+    chunks = stream_chunks(n, p, seed, samples, streams, step)
     rep = proxy_exact(n, p)
     out = np.empty(samples, dtype=np.float64)
-    share = samples // streams
-    sizes = [share + (1 if s < samples - share * streams else 0) for s in range(streams)]
-    pos = 0
-    step = max(128, (1 << 22) // (n * (n - 1) // 2))
-    for s, size in enumerate(sizes):
-        cfg = SamplerConfig(n=n, p=p, seed=seed, stream=s)
-        done = 0
-        while done < size:
-            c = min(step, size - done)
-            y = proxy_samples(cfg, done, c)
-            out[pos : pos + c] = (y - rep.mean_y) / math.sqrt(rep.var_y)
-            pos += c
-            done += c
+    for cfg, start, count, pos in chunks:
+        y = proxy_samples(cfg, start, count)
+        out[pos : pos + count] = (y - rep.mean_y) / math.sqrt(rep.var_y)
     return out
 
 
@@ -416,24 +394,13 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
     for n in cfg.n_list:
         p = cfg.resolve_p(n)
         if cfg.form == "extended":
-            est3 = estimate_r(n, p, cfg.samples, t_grid, "r3", cfg.seed)
-            est4 = estimate_r(n, p, cfg.samples, t_grid, "r4", cfg.seed)
-            estimates = {"r3": est3["r3"], "r4": est4["r4"]}
-            detail = {
-                "r31": est3["r31"].value,
-                "r32": est3["r32"].value,
-                "r33": est3["r33"].value,
-                "r41": est4["r41"].value,
-                "r42": est4["r42"].value,
-                "r43": est4["r43"].value,
-            }
+            names, parts = ("r3", "r4"), ("r31", "r32", "r33", "r41", "r42", "r43")
         else:
-            est1 = estimate_r(n, p, cfg.samples, t_grid, "r1", cfg.seed)
-            est2 = estimate_r(n, p, cfg.samples, t_grid, "r2", cfg.seed)
-            estimates = {"r1": est1["r1"], "r2": est2["r2"]}
-            detail = {"r1": est1["r1"].value, "r2": est2["r2"].value}
-        w = sample_w(n, p, cfg.samples, cfg.seed, cfg.streams)
-        dk_res = empirical_dk(w, cfg.delta)
+            names = parts = ("r1", "r2")
+        est = estimate_r(n, p, cfg.samples, t_grid, names, cfg.seed, cfg.streams)
+        estimates = {k: est[k] for k in names}
+        detail = {k: est[k].value for k in parts}
+        dk_res = empirical_dk(est["w"], cfg.delta)
         report = assemble_bound(
             n,
             p,
@@ -519,17 +486,27 @@ def _run_rate_fit(cfg: ExperimentConfig) -> list[ResultRecord]:
     if not cfg.input_path:
         raise ConfigError("rate-fit needs --input pointing at a records file")
     points = []
+    configs = []
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             body = json.loads(line)
-            if body.get("quantity") == cfg.quantity and body.get("value"):
+            if body.get("quantity") == cfg.quantity and body.get("value") is not None:
                 points.append((float(body["n"]), float(body["value"])))
+                config = body.get("config", {})
+                configs.append({k: v for k, v in config.items() if k != "n_list"})
     if len(points) < 3:
         raise ConfigError(
             f"found {len(points)} usable records for quantity {cfg.quantity!r}"
+        )
+    ns = [n for n, _ in points]
+    if len(set(ns)) < len(ns):
+        raise ConfigError(f"records for quantity {cfg.quantity!r} repeat an n: {ns}")
+    if any(c != configs[0] for c in configs):
+        raise ConfigError(
+            f"records for quantity {cfg.quantity!r} come from different configurations"
         )
     fit = rate_fit(points)
     return [
@@ -603,11 +580,20 @@ def run(config: ExperimentConfig) -> tuple[int, list[ResultRecord]]:
     if config.subcommand not in ("rate-fit", "patterns") and not config.n_list:
         raise ConfigError("need at least one n (use --n)")
     records = _SUBCOMMANDS[config.subcommand](config)
-    if not all(
-        (r.value is None or math.isfinite(r.value)) for r in records
-    ):
-        raise NumericError("non-finite value in emitted records")
+    if not all(_finite([r.value, r.std_error, r.extra]) for r in records):
+        raise NumericError("non-finite number in emitted records")
     return 0, records
+
+
+def _finite(obj) -> bool:
+    """True when every number inside obj (nested dicts, lists) is finite."""
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_finite(v) for v in obj)
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,32 @@
 """Monte Carlo construction of the coupling and r-term estimators.
 
-For a sampled graph, the inner conditional expectations over (V, V') are
-computed exactly (sums over all triples / neighbour pairs), so Monte Carlo
-randomness enters only through the graph.  Estimators:
+For a graph, the inner conditional expectations over (V, V') are computed
+exactly by `inner_terms` (sums over all triples / neighbour pairs); the
+exact oracle averages the same function over all graphs with their weights,
+so Monte Carlo randomness enters only through the graph.  Estimators:
 
 * r1, r3 components: exact per-graph averages, then a plain MC mean;
 * r2, r4 components: a complex graph functional per sample, whose variance
   across graphs (divided by |t| or t^2) is the estimate; the sup over t is
   taken on a recorded grid.
 
-Standard errors come from 16 contiguous batch means.  Everything is a pure
-function of (seed, stream, config).
+`estimate_r` draws each graph once for all the families it is asked for,
+over the same counter-based streams as `cli.sample_w`, and also returns the
+graphs' W, so a coupling record's r-terms and empirical d_K come from the
+same graphs.  Standard errors come from 16 contiguous batch means.
+Everything is a pure function of (seed, streams, config).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, TripleId, num_edges, triple_basis
+from .graphs import triple_basis
 from .moments import BoundInputs, exact_moments, regime_rates, theorem2_bound
 from .sampler import (
     PURPOSE_COUPLING_V,
@@ -30,6 +34,7 @@ from .sampler import (
     SamplerConfig,
     derive_key,
     gnp_edge_bits,
+    stream_chunks,
     uniform_f64,
 )
 
@@ -63,28 +68,9 @@ def psi_kernel(x):
     return np.exp(1j * x) - 1.0
 
 
-def kernels(x: float) -> dict:
-    return {"phi_k": complex(phi_kernel(x)), "psi_k": complex(psi_kernel(x))}
-
-
 # ---------------------------------------------------------------------------
 # Coupling draws
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingDraw:
-    graph: Graph
-    v: TripleId
-    vp: TripleId
-    w: float
-    wp: float
-    wpp: float
-    g: float
-    d: float
-    dtilde: float
-    dprime: float
-    s: float
 
 
 @dataclass(frozen=True)
@@ -163,120 +149,92 @@ def draw_couplings(
     )
 
 
-def draw_coupling(
-    g: Graph, p: float, sigma: float, rng_state: tuple[int, int, int]
-) -> CouplingDraw:
-    """One coupling draw on a fixed graph; rng_state = (seed, stream, index).
+# ---------------------------------------------------------------------------
+# Inner expectations given the graph
+# ---------------------------------------------------------------------------
 
-    V is uniform on all triples and V' uniform on the 3(n-3)+1 triples of
-    nu_V (including V itself); all derived quantities obey the construction
-    identities exactly.
+# per-graph components of the r-terms; those in T_COMPONENTS are per t
+COMPONENTS = ("r1", "r2", "r32", "r33", "r41", "r42", "r43")
+T_COMPONENTS = ("r2", "r41", "r42", "r43")
+# the components each r-term family is assembled from
+FAMILIES = {
+    "r1": ("r1",),
+    "r2": ("r2",),
+    "r3": ("r1", "r32", "r33"),
+    "r4": ("r41", "r42", "r43"),
+}
+# elements per (graphs x pairs) block in inner_terms and per (graphs x
+# triples) chunk in estimate_r: every temporary stays near 4 MiB
+BLOCK = 1 << 18
+
+
+def inner_terms(
+    x: np.ndarray, n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
+) -> dict:
+    """Inner expectations over (V, V') given the graph, one per row of the
+    centred-indicator block x (graphs x triples), with s = sd(T):
+
+        r1  -> E^g[|G| D^2]             = (1/s^3) sum_v |X_v| Y_v^2
+        r2  -> E^g[G (e^{itD} - 1)]     = -(1/s) sum_v X_v (e^{-itY_v/s} - 1)
+        r41 -> E^g[G (e^{itD} - 1 - itD)]
+        r32 -> E^g[|G D~| |D'|]         = (1/s^3) sum_{v, w in nu_v} |X_v X_w| |Y_{v,w}|
+        r33 -> E^g[S |D'|]              = (1/s^3) sum sigma_{v,w} |Y_{v,w}|
+        r42 -> E^g[G D~ (e^{itD'} - 1)] = (1/s^2) sum X_v X_w (e^{-itY_{v,w}/s} - 1)
+        r43 -> E^g[S (e^{itD'} - 1)]    = (1/s^2) sum sigma_{v,w} (...)
+
+    `terms` names the components wanted.  Each comes back as a real (m,)
+    array, or for the T_COMPONENTS a complex (m, len(t_grid)) array.  Pair
+    sums run over blocks of pairs, so memory is O(m * n_triples + BLOCK).
     """
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
-    seed, stream, index = rng_state
-    n = g.n
+    terms = set(terms)
+    if not terms <= set(COMPONENTS):
+        raise InputError(f"unknown components {sorted(terms - set(COMPONENTS))}")
     tb = triple_basis(n)
     mom = exact_moments(n, p)
-    c3 = tb.n_triples
-    kappa = tb.nu_size
-
-    idx = np.array([index], dtype=np.uint64)
-    u_v = float(uniform_f64(derive_key(seed, stream, PURPOSE_COUPLING_V), idx)[0])
-    u_vp = float(uniform_f64(derive_key(seed, stream, PURPOSE_COUPLING_VPRIME), idx)[0])
-    v_idx = min(int(u_v * c3), c3 - 1)
-    off = min(int(u_vp * kappa), kappa - 1)
-    vp_idx = int(tb.pair_w[v_idx * kappa + off])
-
-    ne = num_edges(n)
-    bits = np.array([[(g.edges >> r) & 1 for r in range(ne)]], dtype=np.uint8)
-    tri = tb.triangle_bits(bits)
-    x = tb.x_matrix(tri, p)
+    sig = mom.sigma
+    m = x.shape[0]
+    out = {
+        name: np.zeros((m, len(t_grid)), dtype=np.complex128)
+        if name in T_COMPONENTS
+        else np.zeros(m)
+        for name in terms
+    }
     s_edges, y = tb.y_matrix(x)
 
-    w_stat = float(x.sum() / sigma)
-    x_v = float(x[0, v_idx])
-    g_val = -c3 * x_v / sigma
-    d_val = float(-y[0, v_idx] / sigma)
-    dtilde = float(-kappa * x[0, vp_idx] / sigma)
-    pair_id = v_idx * kappa + off
-    if vp_idx == v_idx:
-        y_pair = float(y[0, v_idx])
-        s_val = c3 * kappa / sigma**2 * mom.var_x
-    else:
-        y_pair = float(
-            y[0, v_idx]
-            + y[0, vp_idx]
-            - s_edges[0, tb.pair_shared[pair_id]]
-            - x[0, tb.pair_u1[pair_id]]
-            - x[0, tb.pair_u2[pair_id]]
-        )
-        s_val = c3 * kappa / sigma**2 * mom.cov_overlap2
-    dprime = -y_pair / sigma
+    if "r1" in terms:
+        out["r1"] = (np.abs(x) * y * y).sum(axis=1) / sig**3
+    if terms & {"r2", "r41"}:
+        for k, t in enumerate(t_grid):
+            phase = np.exp(-1j * t / sig * y)
+            if "r2" in terms:
+                out["r2"][:, k] = -(x * (phase - 1.0)).sum(axis=1) / sig
+            if "r41" in terms:
+                out["r41"][:, k] = (
+                    -(x * (phase - 1.0 + 1j * t / sig * y)).sum(axis=1) / sig
+                )
 
-    return CouplingDraw(
-        graph=g,
-        v=tb.triples[v_idx],
-        vp=tb.triples[vp_idx],
-        w=w_stat,
-        wp=w_stat + d_val,
-        wpp=w_stat + dprime,
-        g=g_val,
-        d=d_val,
-        dtilde=dtilde,
-        dprime=dprime,
-        s=s_val,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact per-graph conditional expectations
-# ---------------------------------------------------------------------------
-
-
-def _graph_tri_row(g: Graph) -> np.ndarray:
-    ne = num_edges(g.n)
-    bits = np.array([[(g.edges >> r) & 1 for r in range(ne)]], dtype=np.uint8)
-    return bits
-
-
-def graph_conditional(g: Graph, p: float, sigma: float, t: float, which: str) -> complex:
-    """Exact inner expectation given the graph:
-
-        r2  -> E^g[G (e^{itD} - 1)]        = -(1/sigma) sum_v X_v (e^{-itY_v/s} - 1)
-        r41 -> E^g[G (e^{itD} - 1 - itD)]
-        r42 -> E^g[G D~ (e^{itD'} - 1)]    = (1/s^2) sum_{v, w in nu_v} X_v X_w (...)
-        r43 -> E^g[S (e^{itD'} - 1)]       = (1/s^2) sum sigma_{v,w} (...)
-    """
-    if t == 0.0:
-        raise InputError("t must be nonzero")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
-    tb = triple_basis(g.n)
-    mom = exact_moments(g.n, p)
-    x = tb.x_matrix(tb.triangle_bits(_graph_tri_row(g)), p)
-    s_edges, y = tb.y_matrix(x)
-
-    if which in ("r2", "r41"):
-        phase = np.exp(-1j * t / sigma * y[0])
-        if which == "r2":
-            val = -(x[0] * (phase - 1.0)).sum() / sigma
-        else:
-            val = -(x[0] * (phase - 1.0 + 1j * t / sigma * y[0])).sum() / sigma
-        return complex(val)
-
-    if which in ("r42", "r43"):
-        all_pairs = np.arange(tb.n_pairs)
-        y_pair = tb.ypair_columns(x, s_edges, y, all_pairs)[0]
-        phase = np.exp(-1j * t / sigma * y_pair) - 1.0
-        if which == "r42":
-            coeff = x[0, tb.pair_v] * x[0, tb.pair_w]
-        else:
-            same = tb.pair_v == tb.pair_w
-            coeff = np.where(same, mom.var_x, mom.cov_overlap2)
-        return complex((coeff * phase).sum() / sigma**2)
-
-    raise InputError(f"unknown conditional {which!r}")
+    if terms & {"r32", "r33", "r42", "r43"}:
+        sigma_vw = np.where(tb.pair_v == tb.pair_w, mom.var_x, mom.cov_overlap2)
+        step = max(1, BLOCK // m)
+        for lo in range(0, tb.n_pairs, step):
+            sel = np.arange(lo, min(lo + step, tb.n_pairs))
+            y_pair = tb.ypair_columns(x, s_edges, y, sel)
+            xvxw = x[:, tb.pair_v[sel]] * x[:, tb.pair_w[sel]]
+            if "r32" in terms:
+                out["r32"] += (np.abs(xvxw) * np.abs(y_pair)).sum(axis=1)
+            if "r33" in terms:
+                out["r33"] += (sigma_vw[sel] * np.abs(y_pair)).sum(axis=1)
+            if terms & {"r42", "r43"}:
+                for k, t in enumerate(t_grid):
+                    ph = np.exp(-1j * t / sig * y_pair) - 1.0
+                    if "r42" in terms:
+                        out["r42"][:, k] += (xvxw * ph).sum(axis=1)
+                    if "r43" in terms:
+                        out["r43"][:, k] += (sigma_vw[sel] * ph).sum(axis=1)
+        for name, power in (("r32", 3), ("r33", 3), ("r42", 2), ("r43", 2)):
+            if name in terms:
+                out[name] /= sig**power
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,68 +250,49 @@ class RTermEstimate:
     t: Optional[float] = None
 
 
-class _Welford:
-    """Global sums plus per-batch complex values for one t-indexed stat."""
-
-    def __init__(self, nbatch: int):
-        self.sum = 0.0 + 0.0j
-        self.sumsq = 0.0
-        self.count = 0
-        self.batch_sum = np.zeros(nbatch, dtype=np.complex128)
-        self.batch_sumsq = np.zeros(nbatch, dtype=np.float64)
-        self.batch_count = np.zeros(nbatch, dtype=np.int64)
-
-    def add(self, batch: int, values: np.ndarray) -> None:
-        total = values.sum()
-        sq = float((np.abs(values) ** 2).sum())
-        self.sum += total
-        self.sumsq += sq
-        self.count += len(values)
-        self.batch_sum[batch] += total
-        self.batch_sumsq[batch] += sq
-        self.batch_count[batch] += len(values)
-
-    def variance(self) -> float:
-        mean = self.sum / self.count
-        return max(self.sumsq / self.count - abs(mean) ** 2, 0.0)
-
-    def batch_variances(self) -> np.ndarray:
-        mean = self.batch_sum / self.batch_count
-        v = self.batch_sumsq / self.batch_count - np.abs(mean) ** 2
-        return np.maximum(v, 0.0)
+def batch_edges(samples: int) -> np.ndarray:
+    """Boundaries of N_BATCHES contiguous batches covering `samples` draws;
+    the first samples % N_BATCHES batches take one draw more."""
+    share, extra = divmod(samples, N_BATCHES)
+    return np.array([b * share + min(b, extra) for b in range(N_BATCHES + 1)])
 
 
-class _MeanAcc:
-    """Global and per-batch accumulation of a real per-sample statistic."""
+class _BatchMoments:
+    """Per-batch sums of a per-graph statistic (real, or complex per t) and
+    of its squared modulus.  Graphs arrive in chunks, each at its position
+    in the merged sample order; the state is O(batches x |t-grid|)."""
 
-    def __init__(self, nbatch: int):
-        self.sum = 0.0
-        self.count = 0
-        self.batch_sum = np.zeros(nbatch, dtype=np.float64)
-        self.batch_count = np.zeros(nbatch, dtype=np.int64)
+    def __init__(self, edges: np.ndarray, shape: tuple = ()):
+        self.edges = edges
+        self.sum = np.zeros((len(edges) - 1, *shape), dtype=np.complex128)
+        self.sumsq = np.zeros((len(edges) - 1, *shape))
 
-    def add(self, batch: int, values: np.ndarray) -> None:
-        self.sum += float(values.sum())
-        self.count += len(values)
-        self.batch_sum[batch] += float(values.sum())
-        self.batch_count[batch] += len(values)
+    def add(self, pos: int, values: np.ndarray) -> None:
+        for b in range(len(self.edges) - 1):
+            lo = max(self.edges[b], pos) - pos
+            hi = min(self.edges[b + 1], pos + len(values)) - pos
+            if lo < hi:
+                self.sum[b] += values[lo:hi].sum(axis=0)
+                self.sumsq[b] += (np.abs(values[lo:hi]) ** 2).sum(axis=0)
 
-    def estimate(self, samples: int, t: Optional[float] = None) -> RTermEstimate:
-        value = self.sum / self.count
-        means = self.batch_sum / self.batch_count
-        se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-        return RTermEstimate(value=value, std_error=se, samples=samples, t=t)
+    def mean(self) -> tuple[float, float]:
+        """Mean of a real statistic and the SE of its batch means."""
+        means = self.sum.real / np.diff(self.edges)
+        value = self.sum.real.sum() / self.edges[-1]
+        return value, np.std(means, ddof=1) / math.sqrt(len(means))
 
-
-def _se_of_sqrt_stat(w: _Welford, scale: float) -> tuple[float, float]:
-    """Value and batch-means SE of sqrt(Var)/scale statistics."""
-    value = math.sqrt(w.variance()) / scale
-    batch_vals = np.sqrt(w.batch_variances()) / scale
-    se = float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
-    return value, se
-
-
-PAIR_CHUNK = 4096
+    def sd(self, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(Var across graphs)/scale per t, and the SE of the same
+        statistic over the batches."""
+        counts = np.diff(self.edges)[:, None]
+        mean = self.sum.sum(axis=0) / self.edges[-1]
+        var = np.maximum(self.sumsq.sum(axis=0) / self.edges[-1] - np.abs(mean) ** 2, 0.0)
+        batch_var = np.maximum(
+            self.sumsq / counts - np.abs(self.sum / counts) ** 2, 0.0
+        )
+        batch_vals = np.sqrt(batch_var) / scale
+        se = np.std(batch_vals, axis=0, ddof=1) / math.sqrt(len(counts))
+        return np.sqrt(var) / scale, se
 
 
 def estimate_r(
@@ -361,143 +300,76 @@ def estimate_r(
     p: float,
     samples: int,
     t_grid: Sequence[float],
-    which: str,
+    which: str | Sequence[str],
     seed: int,
-    stream: int = 0,
+    streams: int = 1,
 ) -> dict:
-    """MC estimates of the requested r-term family.
+    """MC estimates of the requested r-term families.
 
-    which = 'r1' | 'r2' | 'r3' | 'r4'.  Returns a dict of RTermEstimate
-    values (per-t lists for r2/r4) keyed by component name.
+    which = 'r1' | 'r2' | 'r3' | 'r4', or a tuple of these, all estimated
+    from one pass over the same graphs.  The graphs follow sample_w's split
+    over `streams` counter-based streams.  Returns a dict of RTermEstimate
+    values (per-t lists for r2/r4) keyed by component name, plus under 'w'
+    the standardised triangle counts W of the graphs drawn, in sample_w's
+    order.
     """
-    if which not in ("r1", "r2", "r3", "r4"):
+    names = (which,) if isinstance(which, str) else tuple(which)
+    if not names or any(name not in FAMILIES for name in names):
         raise InputError(f"unknown r-term {which!r}")
     if samples < 1000:
         raise InputError("need at least 1000 samples")
     t_grid = [float(t) for t in t_grid]
-    if which in ("r2", "r4") and (not t_grid or any(t == 0.0 for t in t_grid)):
+    if {"r2", "r4"} & set(names) and (not t_grid or any(t == 0.0 for t in t_grid)):
         raise InputError("r2/r4 need a nonempty t_grid without 0")
 
-    cfg = SamplerConfig(n=n, p=p, seed=seed, stream=stream)
     tb = triple_basis(n)
     mom = exact_moments(n, p)
-    sig = mom.sigma
-    same = tb.pair_v == tb.pair_w
-    sigma_vw = np.where(same, mom.var_x, mom.cov_overlap2)
+    step = max(1, min(4096, BLOCK // tb.n_triples))
+    chunks = stream_chunks(n, p, seed, samples, streams, step)
+    terms = {c for name in names for c in FAMILIES[name]}
+    edges = batch_edges(samples)
+    accs = {
+        c: _BatchMoments(edges, (len(t_grid),) if c in T_COMPONENTS else ())
+        for c in terms
+    }
+    w = np.empty(samples, dtype=np.float64)
+    for cfg, start, count, pos in chunks:
+        tri = tb.triangle_bits(gnp_edge_bits(cfg, start, count))
+        w[pos : pos + count] = (tri.sum(axis=1, dtype=np.int64) - mom.mean_t) / mom.sigma
+        x = tb.x_matrix(tri, p)
+        for c, values in inner_terms(x, n, p, t_grid, terms).items():
+            accs[c].add(pos, values)
 
-    need_pairs = which in ("r3", "r4")
-    r1_acc = _MeanAcc(N_BATCHES)
-    r32_acc = _MeanAcc(N_BATCHES)
-    r33_acc = _MeanAcc(N_BATCHES)
-    r2_acc = {t: _Welford(N_BATCHES) for t in t_grid} if which == "r2" else {}
-    r41_acc = {t: _Welford(N_BATCHES) for t in t_grid} if which == "r4" else {}
-    r42_acc = {t: _Welford(N_BATCHES) for t in t_grid} if which == "r4" else {}
-    r43_acc = {t: _Welford(N_BATCHES) for t in t_grid} if which == "r4" else {}
+    def est(value, se, t=None) -> RTermEstimate:
+        return RTermEstimate(value=float(value), std_error=float(se), samples=samples, t=t)
 
-    per_batch = samples // N_BATCHES
-    extra = samples - per_batch * N_BATCHES
-    chunk = max(1, min(4096, (1 << 22) // max(tb.n_triples, 1)))
-
-    start = 0
-    for b in range(N_BATCHES):
-        b_size = per_batch + (1 if b < extra else 0)
-        done = 0
-        while done < b_size:
-            c = min(chunk, b_size - done)
-            bits = gnp_edge_bits(cfg, start + done, c)
-            tri = tb.triangle_bits(bits)
-            x = tb.x_matrix(tri, p)
-            s_edges, y = tb.y_matrix(x)
-
-            if which in ("r1", "r3"):
-                r1_g = (np.abs(x) * y * y).sum(axis=1) / sig**3
-                r1_acc.add(b, r1_g)
-            if which == "r2":
-                for t in t_grid:
-                    phase = np.exp(-1j * t / sig * y)
-                    inner = -(x * (phase - 1.0)).sum(axis=1) / sig
-                    r2_acc[t].add(b, inner)
-            if which == "r4":
-                for t in t_grid:
-                    phase = np.exp(-1j * t / sig * y)
-                    inner = -(x * (phase - 1.0 + 1j * t / sig * y)).sum(axis=1) / sig
-                    r41_acc[t].add(b, inner)
-
-            if need_pairs:
-                r32_g = np.zeros(c)
-                r33_g = np.zeros(c)
-                inner42 = {t: np.zeros(c, dtype=np.complex128) for t in t_grid}
-                inner43 = {t: np.zeros(c, dtype=np.complex128) for t in t_grid}
-                pair_chunk = max(256, min(PAIR_CHUNK, (1 << 22) // c))
-                for lo in range(0, tb.n_pairs, pair_chunk):
-                    sel = np.arange(lo, min(lo + pair_chunk, tb.n_pairs))
-                    y_pair = tb.ypair_columns(x, s_edges, y, sel)
-                    xvxw = x[:, tb.pair_v[sel]] * x[:, tb.pair_w[sel]]
-                    if which == "r3":
-                        r32_g += (np.abs(xvxw) * np.abs(y_pair)).sum(axis=1)
-                        r33_g += (sigma_vw[sel] * np.abs(y_pair)).sum(axis=1)
-                    else:
-                        for t in t_grid:
-                            ph = np.exp(-1j * t / sig * y_pair) - 1.0
-                            inner42[t] += (xvxw * ph).sum(axis=1)
-                            inner43[t] += (sigma_vw[sel] * ph).sum(axis=1)
-                if which == "r3":
-                    r32_acc.add(b, r32_g / sig**3)
-                    r33_acc.add(b, r33_g / sig**3)
-                else:
-                    for t in t_grid:
-                        r42_acc[t].add(b, inner42[t] / sig**2)
-                        r43_acc[t].add(b, inner43[t] / sig**2)
-            done += c
-        start += b_size
-
-    out: dict = {}
-    if which == "r1":
-        out["r1"] = r1_acc.estimate(samples)
-    elif which == "r2":
-        per_t = []
-        for t in t_grid:
-            value, se = _se_of_sqrt_stat(r2_acc[t], abs(t))
-            per_t.append(RTermEstimate(value=value, std_error=se, samples=samples, t=t))
-        best = max(per_t, key=lambda e: e.value)
-        out["r2_by_t"] = per_t
-        out["r2"] = best
-    elif which == "r3":
-        r31 = r1_acc.estimate(samples)
-        r32 = r32_acc.estimate(samples)
-        r33 = r33_acc.estimate(samples)
-        value = 0.5 * r31.value + r32.value + r33.value
-        se = math.sqrt(0.25 * r31.std_error**2 + r32.std_error**2 + r33.std_error**2)
+    out: dict = {"w": w}
+    means = {c: est(*accs[c].mean()) for c in ("r1", "r32", "r33") if c in terms}
+    for c, power in (("r2", 1.0), ("r41", 2.0), ("r42", 1.0), ("r43", 1.0)):
+        if c in terms:
+            values, ses = accs[c].sd(np.abs(t_grid) ** power)
+            per_t = [est(v, se, t) for v, se, t in zip(values, ses, t_grid)]
+            out[f"{c}_by_t"] = per_t
+            out[c] = max(per_t, key=lambda e: e.value)
+    if "r1" in names:
+        out["r1"] = means["r1"]
+    if "r3" in names:
+        r31, r32, r33 = means["r1"], means["r32"], means["r33"]
         out.update(
             r31=r31,
             r32=r32,
             r33=r33,
-            r3=RTermEstimate(value=value, std_error=se, samples=samples),
+            r3=est(
+                0.5 * r31.value + r32.value + r33.value,
+                math.sqrt(0.25 * r31.std_error**2 + r32.std_error**2 + r33.std_error**2),
+            ),
         )
-    else:
-        sups = []
-        for name, accs, power in (
-            ("r41", r41_acc, 2.0),
-            ("r42", r42_acc, 1.0),
-            ("r43", r43_acc, 1.0),
-        ):
-            per_t = []
-            for t in t_grid:
-                value, se = _se_of_sqrt_stat(accs[t], abs(t) ** power)
-                per_t.append(
-                    RTermEstimate(value=value, std_error=se, samples=samples, t=t)
-                )
-            best = max(per_t, key=lambda e: e.value)
-            out[f"{name}_by_t"] = per_t
-            out[name] = best
-            sups.append(best)
-        out["r4"] = RTermEstimate(
-            value=sum(e.value for e in sups),
-            std_error=math.sqrt(sum(e.std_error**2 for e in sups)),
-            samples=samples,
+    if "r4" in names:
+        sups = [out["r41"], out["r42"], out["r43"]]
+        out["r4"] = est(
+            sum(e.value for e in sups), math.sqrt(sum(e.std_error**2 for e in sups))
         )
     return out
-
 
 # ---------------------------------------------------------------------------
 # Bound assembly

@@ -215,29 +215,6 @@ def w_statistic(g: Graph, p: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (CLI fixture format): first line "n", then one "i j" per line.
-# ---------------------------------------------------------------------------
-
-
-def parse_graph_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty graph file")
-    n = int(lines[0])
-    edge_list = []
-    for ln in lines[1:]:
-        i, j = (int(tok) for tok in ln.split())
-        edge_list.append((i, j))
-    return Graph.from_edge_list(n, edge_list)
-
-
-def format_graph_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{i} {j}" for i, j in g.edge_list())
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Vectorised triple machinery shared by the oracle and the coupling simulator.
 # ---------------------------------------------------------------------------
 
@@ -267,7 +244,6 @@ class TripleBasis:
     triples: tuple[TripleId, ...]
     edge_ranks: np.ndarray    # (n_tri, 3) int64
     e2t: np.ndarray           # (n_tri, n_edges) float64 0/1, triple >= edge
-    nu_indices: np.ndarray    # (n_tri, 3(n-3)+1) int64, sorted neighbourhoods
     pair_v: np.ndarray        # (n_pair,) int64; pairs flattened v-major
     pair_w: np.ndarray        # (n_pair,) int64
     pair_shared: np.ndarray   # (n_pair,) int64 shared-edge rank, -1 if w == v
@@ -334,9 +310,6 @@ def triple_basis(n: int) -> TripleBasis:
     nu_lists = []
     for v in triples:
         nu_lists.append(sorted(neighborhood(v, n), key=triple_rank))
-    nu_indices = np.array(
-        [[index[u] for u in lst] for lst in nu_lists], dtype=np.int64
-    )
 
     pv, pw, shared, u1s, u2s = [], [], [], [], []
     for k, v in enumerate(triples):
@@ -360,7 +333,6 @@ def triple_basis(n: int) -> TripleBasis:
         triples=triples,
         edge_ranks=edge_ranks,
         e2t=e2t,
-        nu_indices=nu_indices,
         pair_v=np.array(pv, dtype=np.int64),
         pair_w=np.array(pw, dtype=np.int64),
         pair_shared=np.array(shared, dtype=np.int64),

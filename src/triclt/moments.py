@@ -138,11 +138,6 @@ def normal_cdf(x):
     return _sp.ndtr(x)
 
 
-def scalar_kernels(x: float) -> dict:
-    """Bundle of the scalar helpers used by the bound evaluators."""
-    return {"log_plus": log_plus(x), "normal_cdf": float(normal_cdf(x))}
-
-
 # ---------------------------------------------------------------------------
 # Smoothing-lemma and characteristic-function bound evaluators
 # ---------------------------------------------------------------------------

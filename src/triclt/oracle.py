@@ -31,11 +31,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .coupling import COMPONENTS, T_COMPONENTS, inner_terms
 from .errors import CapacityError, InputError
 from .graphs import Graph, TripleBasis, num_edges, triple_basis
 from .moments import exact_moments, normal_cdf
 
 MAX_ORACLE_N = 7
+GRAPH_CHUNK = 4096  # graphs per inner_terms call
 
 _FUNCTION_FAMILY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "1": lambda x: np.ones_like(x, dtype=np.complex128),
@@ -219,6 +221,26 @@ def _tables(n: int, p: float) -> _CouplingTables:
     return _CouplingTables(n, p)
 
 
+def _per_graph_terms(
+    n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
+) -> dict[str, np.ndarray]:
+    """coupling.inner_terms for every enumerated graph, in enumeration order,
+    computed over chunks of GRAPH_CHUNK graphs."""
+    arr = oracle_arrays(n)
+    size = arr.masks.size
+    out = {
+        name: np.empty((size, len(t_grid)), dtype=np.complex128)
+        if name in T_COMPONENTS
+        else np.empty(size)
+        for name in terms
+    }
+    for lo in range(0, size, GRAPH_CHUNK):
+        x = arr.basis.x_matrix(arr.tri_bits[lo : lo + GRAPH_CHUNK], p)
+        for name, values in inner_terms(x, n, p, t_grid, terms).items():
+            out[name][lo : lo + len(x)] = values
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Characteristic-function ODE check
 # ---------------------------------------------------------------------------
@@ -248,10 +270,9 @@ def exact_chf_ode(n: int, p: float, t: float) -> OdeCheck:
     if t == 0.0:
         return OdeCheck(t=0.0, phi=1.0 + 0j, phi_prime=0j, a_t=0j, b_t=0j, residual=0.0)
     arr = oracle_arrays(n)
-    tb = arr.basis
     mom = exact_moments(n, p)
     sigma = mom.sigma
-    c3 = tb.n_triples
+    c3 = arr.basis.n_triples
     w = graph_weights(n, p, arr.popcount)
     t_counts = arr.tri_bits.sum(axis=1, dtype=np.float64)
     w_stat = (t_counts - c3 * p**3) / sigma
@@ -260,21 +281,10 @@ def exact_chf_ode(n: int, p: float, t: float) -> OdeCheck:
     phi = fsum_complex(w * e_itw)
     phi_prime = 1j * fsum_complex(w * w_stat * e_itw)
 
-    # inner conditional means over V, streamed per triple to bound memory
-    inner_full = np.zeros(arr.masks.size, dtype=np.complex128)   # G(e^{itD}-1-itD)
-    inner_lin = np.zeros(arr.masks.size, dtype=np.complex128)    # G(e^{itD}-1)
-    kappa = tb.nu_size
-    tri_f = arr.tri_bits
-    for k in range(tb.n_triples):
-        x_k = tri_f[:, k].astype(np.float64) - p**3
-        y_k = tri_f[:, tb.nu_indices[k]].sum(axis=1, dtype=np.float64) - kappa * p**3
-        g_k = -(c3 / sigma) * x_k
-        itd = 1j * t * (-y_k / sigma)
-        e_itd = np.exp(itd)
-        inner_lin += g_k * (e_itd - 1.0)
-        inner_full += g_k * (e_itd - 1.0 - itd)
-    inner_lin /= c3
-    inner_full /= c3
+    # inner conditional means over V: G(e^{itD}-1) and G(e^{itD}-1-itD)
+    inner = _per_graph_terms(n, p, [t], ("r2", "r41"))
+    inner_lin = inner["r2"][:, 0]
+    inner_full = inner["r41"][:, 0]
 
     a_t = fsum_complex(w * inner_full) / (1j * t)
     mean_lin = fsum_complex(w * inner_lin)
@@ -406,34 +416,21 @@ def exact_r_terms(n: int, p: float, t_grid: Sequence[float]) -> RTermsExact:
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t == 0.0 for t in t_grid):
         raise InputError("t_grid must be nonempty with t != 0")
-    tab = _tables(n, p)
-    w = tab.weights
-    sig = tab.sigma
+    _check_capacity(n, limit=6)
+    w = graph_weights(n, p, oracle_arrays(n).popcount)
+    g = _per_graph_terms(n, p, t_grid, COMPONENTS)
 
-    absx = np.abs(tab.x)
-    r1_per_g = (absx * tab.y**2).sum(axis=1) / sig**3
-    r1 = fsum_array(w * r1_per_g)
-
-    xv = tab.x[:, tab.arr.basis.pair_v]
-    xw = tab.x[:, tab.arr.basis.pair_w]
-    r32_per_g = (np.abs(xv * xw) * np.abs(tab.y_pair)).sum(axis=1) / sig**3
-    r33_per_g = (tab.sigma_vw * np.abs(tab.y_pair)).sum(axis=1) / sig**3
-    r32 = fsum_array(w * r32_per_g)
-    r33 = fsum_array(w * r33_per_g)
+    r1 = fsum_array(w * g["r1"])
+    r32 = fsum_array(w * g["r32"])
+    r33 = fsum_array(w * g["r33"])
     r3 = 0.5 * r1 + r32 + r33
 
     r2_by_t, r41_by_t, r42_by_t, r43_by_t = {}, {}, {}, {}
-    for t in t_grid:
-        phase_v = np.exp(-1j * t / sig * tab.y)
-        inner2 = -(tab.x * (phase_v - 1.0)).sum(axis=1) / sig
-        inner41 = -(tab.x * (phase_v - 1.0 + 1j * t / sig * tab.y)).sum(axis=1) / sig
-        phase_p = np.exp(-1j * t / sig * tab.y_pair)
-        inner42 = (xv * xw * (phase_p - 1.0)).sum(axis=1) / sig**2
-        inner43 = (tab.sigma_vw * (phase_p - 1.0)).sum(axis=1) / sig**2
-        r2_by_t[t] = math.sqrt(_weighted_cvar(w, inner2)) / abs(t)
-        r41_by_t[t] = _weighted_cvar(w, inner41)
-        r42_by_t[t] = _weighted_cvar(w, inner42)
-        r43_by_t[t] = _weighted_cvar(w, inner43)
+    for k, t in enumerate(t_grid):
+        r2_by_t[t] = math.sqrt(_weighted_cvar(w, g["r2"][:, k])) / abs(t)
+        r41_by_t[t] = _weighted_cvar(w, g["r41"][:, k])
+        r42_by_t[t] = _weighted_cvar(w, g["r42"][:, k])
+        r43_by_t[t] = _weighted_cvar(w, g["r43"][:, k])
 
     r4 = (
         max(math.sqrt(r41_by_t[t]) / t**2 for t in t_grid)

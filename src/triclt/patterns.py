@@ -26,7 +26,6 @@ the worst case stays tiny on the <= 9 vertex universe used here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
@@ -43,7 +42,7 @@ from .graphs import (
     triple_rank,
 )
 from .moments import exact_moments
-from .coupling import phi_kernel, psi_kernel
+from .coupling import batch_edges, phi_kernel, psi_kernel
 from .sampler import SamplerConfig, gnp_edge_bits
 from . import oracle as _oracle
 
@@ -403,20 +402,21 @@ def pattern_cov_check(
 
         tb = triple_basis(n)
         cfg_s = SamplerConfig(n=n, p=p, seed=seed)
+        edges = batch_edges(samples)
         covs = []
-        per = samples // 16
-        for bi in range(16):
-            bits = gnp_edge_bits(cfg_s, bi * per, per)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            bits = gnp_edge_bits(cfg_s, int(lo), int(hi - lo))
             tri = tb.triangle_bits(bits)
             x_of, y1, y2 = _pattern_arrays(cfg, n, tri, p)
             a = x_of[cfg.v] * x_of[cfg.w] * kern(t * y1 / sigma)
             b = x_of[cfg.vp] * x_of[cfg.wp] * kern(t * y2 / sigma)
             da = a - a.mean()
             db = b - b.mean()
-            covs.append(abs(np.mean(da * np.conj(db))))
-        cov_abs = float(np.mean(covs))
-        se = float(np.std(covs, ddof=1) / math.sqrt(len(covs)))
-        nsamp = per * 16
+            covs.append(np.mean(da * np.conj(db)))
+        # |mean| of the batch covariances, with the SE of that complex mean
+        cov_abs = float(abs(np.mean(covs)))
+        se = float(np.sqrt(np.var(covs, ddof=1) / len(covs)))
+        nsamp = samples
     else:
         raise InputError(f"unknown mode {mode!r}")
 

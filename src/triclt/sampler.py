@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .graphs import Graph, num_edges
 
 U64 = np.uint64
@@ -126,6 +126,30 @@ def gnp_edge_bits(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
     return bits.view(np.uint8).reshape(count, ne)
 
 
+def stream_chunks(
+    n: int, p: float, seed: int, samples: int, streams: int, step: int
+) -> list[tuple[SamplerConfig, int, int, int]]:
+    """Split `samples` draws over `streams` counter-based streams, each cut
+    into index ranges of at most `step`: a list of (cfg, start, count, pos),
+    where pos is the range's offset in the merged output.  Stream s takes
+    samples // streams draws, plus one for s < samples % streams; merging in
+    fixed stream order makes the output independent of how the ranges would
+    be scheduled."""
+    if samples < 1 or streams < 1:
+        raise ConfigError("samples and streams must be >= 1")
+    share, extra = divmod(samples, streams)
+    chunks = []
+    pos = 0
+    for s in range(streams):
+        cfg = SamplerConfig(n=n, p=p, seed=seed, stream=s)
+        size = share + (1 if s < extra else 0)
+        for start in range(0, size, step):
+            count = min(step, size - start)
+            chunks.append((cfg, start, count, pos))
+            pos += count
+    return chunks
+
+
 def sample_gnp(cfg: SamplerConfig, index: int) -> Graph:
     """One G(n,p) draw; bit-for-bit reproducible from (cfg, index)."""
     if index < 0:
@@ -142,12 +166,13 @@ def sample_gnp(cfg: SamplerConfig, index: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _binom_cdf(m: int, q: float) -> np.ndarray:
     """CDF of Binomial(m, q) as a length-(m+1) array (exact comb-based pmf)."""
     pmf = [math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)]
     cdf = np.cumsum(np.array(pmf))
     cdf[-1] = 1.0  # guard so inverse-CDF lookups never land past m
+    cdf.setflags(write=False)  # the cached array is shared by every caller
     return cdf
 
 

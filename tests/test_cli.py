@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from triclt import cli
 from triclt.cli import (
     ExperimentConfig,
     ResultRecord,
@@ -19,7 +20,8 @@ from triclt.cli import (
     run,
     sample_w,
 )
-from triclt.errors import ConfigError, InputError
+from triclt.coupling import DEFAULT_T_GRID, estimate_r
+from triclt.errors import ConfigError, InputError, NumericError
 from triclt.oracle import exact_dk
 
 
@@ -222,6 +224,35 @@ def test_run_coupling_bound_record():
     assert rec.extra["dk_band"] > 0
 
 
+def test_coupling_record_r_terms_and_dk_share_graphs():
+    cfg = _cfg(subcommand="coupling", n_list=(8,), samples=1000, seed=7, streams=2)
+    rec = run(cfg)[1][0]
+    w = sample_w(8, 0.5, 1000, seed=7, streams=2)
+    assert rec.extra["empirical_dk"] == empirical_dk(w)["dk"]
+    est = estimate_r(8, 0.5, 1000, DEFAULT_T_GRID, ("r3", "r4"), 7, streams=2)
+    assert np.array_equal(est["w"], w)
+    assert rec.extra["r_values"] == {"r3": est["r3"].value, "r4": est["r4"].value}
+    single = run(_cfg(subcommand="coupling", n_list=(8,), samples=1000, seed=7))[1][0]
+    assert single.extra["r_values"]["r3"] != rec.extra["r_values"]["r3"]
+    assert single.extra["r_values"]["r4"] != rec.extra["r_values"]["r4"]
+
+
+def test_run_rejects_non_finite_numbers(monkeypatch):
+    def emit(**kw):
+        return lambda cfg: [cli._mkrecord(cfg, "x", value=1.0, **kw)]
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "moments", emit(std_error=float("nan")))
+    with pytest.raises(NumericError):
+        run(_cfg())
+    monkeypatch.setitem(
+        cli._SUBCOMMANDS, "moments", emit(extra={"a": {"b": [1.0, float("inf")]}})
+    )
+    with pytest.raises(NumericError):
+        run(_cfg())
+    monkeypatch.setitem(cli._SUBCOMMANDS, "moments", emit(extra={"a": [1.0, "x", None]}))
+    assert run(_cfg())[0] == 0
+
+
 def test_run_bound_record():
     cfg = _cfg(
         subcommand="bound",
@@ -268,6 +299,45 @@ def test_run_patterns_and_rate_fit_pipeline(tmp_path):
     csv_text = (tmp_path / "pat.csv").read_text().splitlines()
     assert csv_text[0].startswith("anchor,class_id,lemma,m,")
     assert len(csv_text) == 1 + 6  # header + six classes
+
+
+def _sample_dk(out, n, seed=2):
+    return main([
+        "sample-dk", "--n", n, "--p", "fixed:0.5", "--samples", "2000",
+        "--seed", str(seed), "--out", str(out),
+    ])
+
+
+def test_rate_fit_refuses_repeated_n(tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert _sample_dk(out, "6,8,10") == 0
+    assert _sample_dk(out, "6,8,10") == 0  # the same run appended again
+    assert main(["rate-fit", "--input", str(out)]) == 2
+
+
+def test_rate_fit_refuses_mixed_configs(tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert _sample_dk(out, "6,8") == 0
+    assert _sample_dk(out, "12", seed=3) == 0
+    assert main(["rate-fit", "--input", str(out)]) == 2
+    # runs that differ only in n_list are one experiment
+    same = tmp_path / "same.jsonl"
+    assert _sample_dk(same, "6,8") == 0
+    assert _sample_dk(same, "12") == 0
+    assert main(["rate-fit", "--input", str(same), "--out", str(tmp_path / "f")]) == 0
+
+
+def test_rate_fit_keeps_zero_values(tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert _sample_dk(out, "6,8,10") == 0
+    _, records = run(_cfg(subcommand="sample-dk", n_list=(12,), seed=2))
+    body = json.loads(records[0].to_json())
+    body["value"] = 0.0
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(body) + "\n")
+    cfg = _cfg(subcommand="rate-fit", input_path=str(out))
+    with pytest.raises(InputError, match="positive"):
+        run(cfg)  # the 0.0 point is fitted, not silently dropped
 
 
 def test_main_exit_codes(tmp_path):

@@ -6,24 +6,29 @@ import numpy as np
 import pytest
 
 from triclt.coupling import (
-    CouplingDraw,
+    COMPONENTS,
     DEFAULT_T_GRID,
     RTermEstimate,
     assemble_bound,
-    draw_coupling,
     draw_couplings,
     estimate_r,
-    graph_conditional,
-    kernels,
+    inner_terms,
     phi_kernel,
     psi_kernel,
     r3_theoretical,
 )
 from triclt.errors import InputError
-from triclt.graphs import Graph, num_triples
+from triclt.graphs import (
+    centered_indicator,
+    local_sum,
+    neighborhood,
+    num_edges,
+    num_triples,
+    triple_basis,
+)
 from triclt.moments import exact_moments
 from triclt.oracle import exact_r_terms
-from triclt.sampler import SamplerConfig, sample_gnp
+from triclt.sampler import SamplerConfig, gnp_edge_bits, sample_gnp
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +39,6 @@ from triclt.sampler import SamplerConfig, sample_gnp
 def test_kernel_values():
     assert phi_kernel(0.0) == 0.0
     assert complex(psi_kernel(math.pi)) == pytest.approx(-2.0 + 0j, abs=1e-12)
-    k = kernels(0.0)
-    assert k["phi_k"] == 0.0
-    assert k["psi_k"] == 0.0
 
 
 def test_phi_kernel_series_matches_direct_at_crossover():
@@ -68,60 +70,48 @@ def test_psi_kernel_lipschitz_one():
 
 
 def test_draw_on_empty_graph_fixed_g():
-    n, p = 5, 0.3
+    n, p, m = 5, 0.3, 400
     mom = exact_moments(n, p)
-    g = Graph.empty(n)
-    for index in range(5):
-        draw = draw_coupling(g, p, mom.sigma, (9, 0, index))
-        assert draw.g == pytest.approx(num_triples(n) * p**3 / mom.sigma)
+    cfg = SamplerConfig(n=n, p=p, seed=9)
+    batch = draw_couplings(cfg, mom.sigma, 0, m)
+    empty = ~gnp_edge_bits(cfg, 0, m).any(axis=1)
+    assert empty.sum() >= 5
+    assert np.allclose(batch.g[empty], num_triples(n) * p**3 / mom.sigma, rtol=1e-12)
 
 
 def test_draw_invariants_hold_exactly():
     n, p = 6, 0.4
     mom = exact_moments(n, p)
     cfg = SamplerConfig(n=n, p=p, seed=21)
+    triples = triple_basis(n).triples
+    batch = draw_couplings(cfg, mom.sigma, 0, 10)
     for index in range(10):
         g = sample_gnp(cfg, index)
-        d = draw_coupling(g, p, mom.sigma, (21, 0, index))
-        assert isinstance(d, CouplingDraw)
-        assert d.wp == pytest.approx(d.w + d.d, abs=1e-14)
-        assert d.wpp == pytest.approx(d.w + d.dprime, abs=1e-14)
+        v, vp = triples[batch.v_idx[index]], triples[batch.vp_idx[index]]
+        assert batch.wp[index] == pytest.approx(batch.w[index] + batch.d[index], abs=1e-14)
+        assert batch.wpp[index] == pytest.approx(
+            batch.w[index] + batch.dprime[index], abs=1e-14
+        )
         # G and D~ follow the centred-indicator construction
-        from triclt.graphs import centered_indicator, local_sum
-
-        assert d.g == pytest.approx(
-            -num_triples(n) * centered_indicator(g, p, d.v) / mom.sigma
+        assert batch.g[index] == pytest.approx(
+            -num_triples(n) * centered_indicator(g, p, v) / mom.sigma
         )
-        assert d.d == pytest.approx(-local_sum(g, p, d.v) / mom.sigma, abs=1e-12)
+        assert batch.d[index] == pytest.approx(-local_sum(g, p, v) / mom.sigma, abs=1e-12)
         kappa = 3 * (n - 3) + 1
-        assert d.dtilde == pytest.approx(
-            -kappa * centered_indicator(g, p, d.vp) / mom.sigma
+        assert batch.dtilde[index] == pytest.approx(
+            -kappa * centered_indicator(g, p, vp) / mom.sigma
         )
-        w_opt = None if d.vp == d.v else d.vp
-        assert d.dprime == pytest.approx(
-            -local_sum(g, p, d.v, w_opt) / mom.sigma, abs=1e-12
+        w_opt = None if vp == v else vp
+        assert batch.dprime[index] == pytest.approx(
+            -local_sum(g, p, v, w_opt) / mom.sigma, abs=1e-12
         )
         s_expect = (
             num_triples(n)
             * kappa
             / mom.var_t
-            * (mom.var_x if d.vp == d.v else mom.cov_overlap2)
+            * (mom.var_x if vp == v else mom.cov_overlap2)
         )
-        assert d.s == pytest.approx(s_expect, rel=1e-12)
-
-
-def test_single_draw_matches_batch():
-    n, p = 5, 0.3
-    mom = exact_moments(n, p)
-    cfg = SamplerConfig(n=n, p=p, seed=33)
-    batch = draw_couplings(cfg, mom.sigma, 0, 8)
-    for index in range(8):
-        g = sample_gnp(cfg, index)
-        d = draw_coupling(g, p, mom.sigma, (33, 0, index))
-        assert d.w == pytest.approx(batch.w[index], abs=1e-13)
-        assert d.g == pytest.approx(batch.g[index], abs=1e-13)
-        assert d.dprime == pytest.approx(batch.dprime[index], abs=1e-13)
-        assert d.s == pytest.approx(batch.s[index], rel=1e-13)
+        assert batch.s[index] == pytest.approx(s_expect, rel=1e-12)
 
 
 def test_vprime_uniform_on_neighbourhood():
@@ -147,69 +137,85 @@ def test_mc_identities_es_and_egd():
 
 
 # ---------------------------------------------------------------------------
-# graph conditionals
+# graph conditionals (inner expectations given the graph)
 # ---------------------------------------------------------------------------
+
+
+def _x_rows(cfg: SamplerConfig, start: int, count: int):
+    tb = triple_basis(cfg.n)
+    return tb.x_matrix(tb.triangle_bits(gnp_edge_bits(cfg, start, count)), cfg.p)
 
 
 def test_graph_conditional_empty_graph_closed_form():
     n, p, t = 5, 0.3, 1.0
     mom = exact_moments(n, p)
-    g = Graph.empty(n)
+    tb = triple_basis(n)
+    x = tb.x_matrix(tb.triangle_bits(np.zeros((1, num_edges(n)), dtype=np.uint8)), p)
     kappa = 3 * (n - 3) + 1
     # all X_v = -p^3 and Y_v = -kappa p^3
     phase = np.exp(1j * t * kappa * p**3 / mom.sigma) - 1.0
     expect = -(num_triples(n) * -(p**3) * phase) / mom.sigma
-    got = graph_conditional(g, p, mom.sigma, t, "r2")
+    got = inner_terms(x, n, p, [t], ("r2",))["r2"][0, 0]
     assert got == pytest.approx(complex(expect), abs=1e-13)
 
 
 def test_graph_conditional_r41_is_second_order_in_t():
-    g = sample_gnp(SamplerConfig(n=6, p=0.4, seed=2), 0)
-    sigma = exact_moments(6, 0.4).sigma
-    v2 = abs(graph_conditional(g, 0.4, sigma, 1e-2, "r41"))
-    v3 = abs(graph_conditional(g, 0.4, sigma, 1e-3, "r41"))
+    x = _x_rows(SamplerConfig(n=6, p=0.4, seed=2), 0, 1)
+    v2, v3 = np.abs(inner_terms(x, 6, 0.4, [1e-2, 1e-3], ("r41",))["r41"][0])
     assert v2 / v3 == pytest.approx(100.0, rel=0.05)
 
 
 def test_graph_conditional_matches_scalar_recomputation():
-    # independent recomputation of the r2 conditional from scalar primitives
+    # independent recomputation of every component from scalar primitives:
+    # set-based neighbourhoods, no TripleBasis
     from itertools import combinations
 
-    from triclt.graphs import centered_indicator, local_sum
-
     n, p, t = 5, 0.3, 1.3
-    sigma = exact_moments(n, p).sigma
-    g = sample_gnp(SamplerConfig(n=n, p=p, seed=8), 4)
-    direct = 0.0 + 0.0j
+    mom = exact_moments(n, p)
+    sigma = mom.sigma
+    cfg = SamplerConfig(n=n, p=p, seed=8)
+    g = sample_gnp(cfg, 4)
+    direct = dict.fromkeys(COMPONENTS, 0.0)
     for v in combinations(range(n), 3):
         x_v = centered_indicator(g, p, v)
         y_v = local_sum(g, p, v)
-        direct += -x_v * (np.exp(-1j * t * y_v / sigma) - 1.0) / sigma
-    assert graph_conditional(g, p, sigma, t, "r2") == pytest.approx(direct, abs=1e-12)
+        phase = np.exp(-1j * t * y_v / sigma)
+        direct["r1"] += abs(x_v) * y_v**2 / sigma**3
+        direct["r2"] += -x_v * (phase - 1.0) / sigma
+        direct["r41"] += -x_v * (phase - 1.0 + 1j * t * y_v / sigma) / sigma
+        for w in neighborhood(v, n):
+            x_w = centered_indicator(g, p, w)
+            y_vw = local_sum(g, p, v, None if w == v else w)
+            s_vw = mom.var_x if w == v else mom.cov_overlap2
+            ph = np.exp(-1j * t * y_vw / sigma) - 1.0
+            direct["r32"] += abs(x_v * x_w) * abs(y_vw) / sigma**3
+            direct["r33"] += s_vw * abs(y_vw) / sigma**3
+            direct["r42"] += x_v * x_w * ph / sigma**2
+            direct["r43"] += s_vw * ph / sigma**2
+    got = inner_terms(_x_rows(cfg, 4, 1), n, p, [t], COMPONENTS)
+    for name in COMPONENTS:
+        value = got[name][0] if got[name].ndim == 1 else got[name][0, 0]
+        assert value == pytest.approx(direct[name], abs=1e-12), name
 
 
 def test_graph_conditional_variance_matches_exact_r2():
     # Var over graphs of the r2 conditional reproduces the exact r2 numerator
-    n, p, t, m = 5, 0.3, 1.0, 60_000
-    sigma = exact_moments(n, p).sigma
-    cfg = SamplerConfig(n=n, p=p, seed=13)
-    vals = np.array(
-        [graph_conditional(sample_gnp(cfg, i), p, sigma, t, "r2") for i in range(800)]
-    )
-    from triclt.oracle import exact_r_terms as ert
-
-    exact_num = ert(n, p, [t]).r2_by_t[t] * abs(t)  # sqrt of the variance
+    n, p, t = 5, 0.3, 1.0
+    vals = inner_terms(_x_rows(SamplerConfig(n=n, p=p, seed=13), 0, 800), n, p, [t], ("r2",))
+    vals = vals["r2"][:, 0]
+    exact_num = exact_r_terms(n, p, [t]).r2_by_t[t] * abs(t)  # sqrt of the variance
     # crude MC check on 800 graphs: sd of |centered| values within 25%
     sd = math.sqrt(np.mean(np.abs(vals - vals.mean()) ** 2))
     assert sd == pytest.approx(exact_num, rel=0.25)
 
 
 def test_graph_conditional_requires_nonzero_t():
-    g = Graph.empty(5)
     with pytest.raises(InputError):
-        graph_conditional(g, 0.3, 1.0, 0.0, "r2")
+        estimate_r(5, 0.3, 2000, [0.0], "r2", seed=1)
     with pytest.raises(InputError):
-        graph_conditional(g, 0.3, 1.0, 1.0, "r99")
+        estimate_r(5, 0.3, 2000, [1.0], ("r3", "r99"), seed=1)
+    with pytest.raises(InputError):
+        inner_terms(np.zeros((1, 10)), 5, 0.3, [1.0], ("r99",))
 
 
 # ---------------------------------------------------------------------------

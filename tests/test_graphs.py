@@ -15,12 +15,10 @@ from triclt.graphs import (
     edge_rank,
     edge_union_size,
     edge_unrank,
-    format_graph_text,
     local_sum,
     neighborhood,
     num_edges,
     num_triples,
-    parse_graph_text,
     triangle_count,
     triple_basis,
     w_statistic,
@@ -251,20 +249,3 @@ def test_graph_immutable_and_validated():
         Graph(4, 1 << num_edges(4))  # bit beyond the bitset
     with pytest.raises(InputError):
         Graph(2, 0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_graph_text_round_trip():
-    g = Graph.from_edge_list(5, [(0, 1), (2, 4), (1, 3)])
-    assert parse_graph_text(format_graph_text(g)) == g
-
-
-def test_graph_text_rejects_garbage():
-    with pytest.raises(InputError):
-        parse_graph_text("")
-    with pytest.raises(InputError):
-        parse_graph_text("4\n0 0\n")

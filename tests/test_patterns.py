@@ -289,6 +289,12 @@ def test_cov_check_mc_agrees_with_exact():
     assert abs(mc.cov_abs - exact.cov_abs) < 5 * mc.std_error
 
 
+def test_cov_check_mc_uses_every_sample():
+    cls = _class_from_pin("l9_representative")
+    mc = pattern_cov_check(cls, 7, 0.7, t=1.0, mode="mc", samples=10_007, seed=2)
+    assert mc.samples == 10_007
+
+
 def test_cov_check_validation():
     cls = _class_from_pin("l9_representative")
     with pytest.raises(InputError):

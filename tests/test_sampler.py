@@ -6,14 +6,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from triclt.errors import InputError
+from triclt.errors import ConfigError, InputError
 from conftest import proxy_brute_force_pmf
 from triclt.sampler import (
     SamplerConfig,
+    _binom_cdf,
     gnp_edge_bits,
     proxy_samples,
     sample_gnp,
     sample_proxy,
+    stream_chunks,
 )
 
 
@@ -84,6 +86,20 @@ def test_stream_partition_invariance():
     assert sorted(draws_fwd) == sorted(draws_rev)
 
 
+def test_stream_chunks_split():
+    chunks = stream_chunks(7, 0.4, 31, 10, 3, 2)
+    assert [(c.stream, start, count, pos) for c, start, count, pos in chunks] == [
+        (0, 0, 2, 0), (0, 2, 2, 2),
+        (1, 0, 2, 4), (1, 2, 1, 6),
+        (2, 0, 2, 7), (2, 2, 1, 9),
+    ]
+    assert all(c.seed == 31 and c.n == 7 for c, *_ in chunks)
+    with pytest.raises(ConfigError):
+        stream_chunks(7, 0.4, 31, 0, 1, 2)
+    with pytest.raises(ConfigError):
+        stream_chunks(7, 0.4, 31, 10, 0, 2)
+
+
 def test_negative_index_rejected():
     cfg = SamplerConfig(n=5, p=0.5, seed=1)
     with pytest.raises(InputError):
@@ -141,6 +157,16 @@ def test_proxy_sample_matches_brute_force_law():
         freq = np.count_nonzero(ys == y) / m
         band = 4 * math.sqrt(prob * (1 - prob) / m)
         assert abs(freq - prob) < band, (y, freq, prob)
+
+
+def test_proxy_binomial_cdfs_stay_cached():
+    # n = 128 needs 126 group sizes; a second call rebuilds none of them
+    cfg = SamplerConfig(n=128, p=0.5, seed=3)
+    _binom_cdf.cache_clear()
+    proxy_samples(cfg, 0, 2)
+    misses = _binom_cdf.cache_info().misses
+    proxy_samples(cfg, 2, 2)
+    assert _binom_cdf.cache_info().misses == misses
 
 
 def test_proxy_single_draw_determinism():
