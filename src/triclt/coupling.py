@@ -3,7 +3,19 @@
 For a graph, the inner conditional expectations over (V, V') are computed
 exactly by `inner_terms` (sums over all triples / neighbour pairs); the
 exact oracle averages the same function over all graphs with their weights,
-so Monte Carlo randomness enters only through the graph.  Estimators:
+so Monte Carlo randomness enters only through the graph.
+
+The sums are taken in histogram form.  With nu = 3(n-3)+1, the local sums
+are integer triangle counts less fixed multiples of p^3:
+
+    Y_v     = K_v     - nu p^3          (K_v: triangles in nu_v)
+    Y_{v,w} = K_{v,w} - (2nu - n) p^3   (K_{v,w}: triangles in nu_v u nu_w, w != v)
+
+so a sum over triples or pairs of c * f(Y), with a weight c fixed by the
+triangle bits of v (and w), equals sum_k H_k c f(k - offset) over integer
+counts H that do not depend on t.  Each graph costs one bincount over its
+pairs and a small matmul with tables over k, not a complex exp per pair
+and t.  Estimators:
 
 * r1, r3 components: exact per-graph averages, then a plain MC mean;
 * r2, r4 components: a complex graph functional per sample, whose variance
@@ -168,6 +180,32 @@ FAMILIES = {
 BLOCK = 1 << 18
 
 
+def _class_histogram(cls: np.ndarray, k: np.ndarray, n_cls: int, size: int) -> np.ndarray:
+    """Per-row counts of (class, K) for integer-valued float blocks cls and k
+    (rows = graphs); column cls * size + k of an (m, n_cls * size) array."""
+    m = cls.shape[0]
+    base = np.arange(m)[:, None] * (n_cls * size)
+    flat = (base + cls * size + k).astype(np.intp)
+    counts = np.bincount(flat.ravel(), minlength=m * n_cls * size)
+    return counts.reshape(m, n_cls * size)
+
+
+def _outer_rows(*parts: tuple) -> np.ndarray:
+    """Stack of class-weight x K-table outer products, one row per histogram
+    column: parts are (weights per class, values per K [x t]) pairs."""
+    return np.concatenate(
+        [np.multiply.outer(wt, f).reshape(-1, *f.shape[1:]) for wt, f in parts]
+    )
+
+
+def _count_matmul(h: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """h @ table for real counts h as one real matmul: a complex table is
+    viewed as interleaved real and imaginary columns, so h is never cast."""
+    if not np.iscomplexobj(table):
+        return h @ table
+    return (h @ table.view(np.float64)).view(np.complex128)
+
+
 def inner_terms(
     x: np.ndarray, n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
 ) -> dict:
@@ -182,58 +220,76 @@ def inner_terms(
         r42 -> E^g[G D~ (e^{itD'} - 1)] = (1/s^2) sum X_v X_w (e^{-itY_{v,w}/s} - 1)
         r43 -> E^g[S (e^{itD'} - 1)]    = (1/s^2) sum sigma_{v,w} (...)
 
+    Histogram form.  Each X_u is b_u - p^3 with b_u the triangle bit, so
+    with nu = |nu_v| = 3(n-3)+1 and |nu_v u nu_w| = 2nu - n for w != v,
+
+        Y_v     = K_v     - nu p^3,         K_v     in 0..nu,
+        Y_{v,w} = K_{v,w} - (2nu - n) p^3,  K_{v,w} in 0..2nu-n,
+
+    where the K are triangle counts over the neighbourhoods.  A summand
+    depends only on (b_v, K_v), or for w != v on (b_v + b_w, K_{v,w}); pairs
+    with w = v have Y_{v,v} = Y_v and reuse the (b_v, K_v) counts.  So one
+    bincount per block gives each graph's integer counts H, and a component
+    is H @ table, with the summand tabled once per (class, K) and t.
+
     `terms` names the components wanted.  Each comes back as a real (m,)
     array, or for the T_COMPONENTS a complex (m, len(t_grid)) array.  Pair
-    sums run over blocks of pairs, so memory is O(m * n_triples + BLOCK).
+    counts run over blocks of pairs, so memory is O(m * n_triples + BLOCK).
+    Raises InputError unless every entry of x is -p^3 or 1 - p^3 (to 1e-12).
     """
     terms = set(terms)
     if not terms <= set(COMPONENTS):
         raise InputError(f"unknown components {sorted(terms - set(COMPONENTS))}")
     tb = triple_basis(n)
+    if x.ndim != 2 or x.shape[1] != tb.n_triples:
+        raise InputError(f"x must have {tb.n_triples} columns for n={n}")
+    p3 = p**3
+    bits = x + p3
+    if not np.all(np.abs(np.abs(bits - 0.5) - 0.5) <= 1e-12):
+        raise InputError("x must hold centred triangle indicators: -p^3 or 1 - p^3")
+    bits = np.rint(bits)
     mom = exact_moments(n, p)
     sig = mom.sigma
     m = x.shape[0]
-    out = {
-        name: np.zeros((m, len(t_grid)), dtype=np.complex128)
-        if name in T_COMPONENTS
-        else np.zeros(m)
-        for name in terms
+    nu = tb.nu_size
+    nu2 = 2 * nu - n
+    t = np.asarray(t_grid, dtype=np.float64)
+
+    # tables over K, and the class weights: X_v by b_v, X_v X_w by b_v + b_w
+    y1 = np.arange(nu + 1) - nu * p3
+    y2 = np.arange(nu2 + 1) - nu2 * p3
+    ph1 = np.exp(-1j * t / sig * y1[:, None]) - 1.0
+    ph2 = np.exp(-1j * t / sig * y2[:, None]) - 1.0
+    x_b = np.array([-p3, 1.0 - p3])
+    xx_b = x_b * x_b
+    xx_c = np.array([xx_b[0], x_b[0] * x_b[1], xx_b[1]])
+    var_b = np.full(2, mom.var_x)
+    cov_c = np.full(3, mom.cov_overlap2)
+    tables = {
+        "r1": _outer_rows((np.abs(x_b), y1 * y1)) / sig**3,
+        "r2": -_outer_rows((x_b, ph1)) / sig,
+        "r41": -_outer_rows((x_b, ph1 + 1j * t / sig * y1[:, None])) / sig,
+        "r32": _outer_rows((xx_b, np.abs(y1)), (np.abs(xx_c), np.abs(y2))) / sig**3,
+        "r33": _outer_rows((var_b, np.abs(y1)), (cov_c, np.abs(y2))) / sig**3,
+        "r42": _outer_rows((xx_b, ph1), (xx_c, ph2)) / sig**2,
+        "r43": _outer_rows((var_b, ph1), (cov_c, ph2)) / sig**2,
     }
-    s_edges, y = tb.y_matrix(x)
 
-    if "r1" in terms:
-        out["r1"] = (np.abs(x) * y * y).sum(axis=1) / sig**3
-    if terms & {"r2", "r41"}:
-        for k, t in enumerate(t_grid):
-            phase = np.exp(-1j * t / sig * y)
-            if "r2" in terms:
-                out["r2"][:, k] = -(x * (phase - 1.0)).sum(axis=1) / sig
-            if "r41" in terms:
-                out["r41"][:, k] = (
-                    -(x * (phase - 1.0 + 1j * t / sig * y)).sum(axis=1) / sig
-                )
-
-    if terms & {"r32", "r33", "r42", "r43"}:
-        sigma_vw = np.where(tb.pair_v == tb.pair_w, mom.var_x, mom.cov_overlap2)
+    s_count, k_v = tb.y_matrix(bits)
+    h1 = _class_histogram(bits, k_v, 2, nu + 1).astype(np.float64)
+    pair_terms = terms - {"r1", "r2", "r41"}
+    out = {name: _count_matmul(h1, tables[name]) for name in terms - pair_terms}
+    if pair_terms:
+        h2 = np.zeros((m, 3 * (nu2 + 1)))
+        others = np.flatnonzero(tb.pair_v != tb.pair_w)
         step = max(1, BLOCK // m)
-        for lo in range(0, tb.n_pairs, step):
-            sel = np.arange(lo, min(lo + step, tb.n_pairs))
-            y_pair = tb.ypair_columns(x, s_edges, y, sel)
-            xvxw = x[:, tb.pair_v[sel]] * x[:, tb.pair_w[sel]]
-            if "r32" in terms:
-                out["r32"] += (np.abs(xvxw) * np.abs(y_pair)).sum(axis=1)
-            if "r33" in terms:
-                out["r33"] += (sigma_vw[sel] * np.abs(y_pair)).sum(axis=1)
-            if terms & {"r42", "r43"}:
-                for k, t in enumerate(t_grid):
-                    ph = np.exp(-1j * t / sig * y_pair) - 1.0
-                    if "r42" in terms:
-                        out["r42"][:, k] += (xvxw * ph).sum(axis=1)
-                    if "r43" in terms:
-                        out["r43"][:, k] += (sigma_vw[sel] * ph).sum(axis=1)
-        for name, power in (("r32", 3), ("r33", 3), ("r42", 2), ("r43", 2)):
-            if name in terms:
-                out[name] /= sig**power
+        for lo in range(0, len(others), step):
+            sel = others[lo : lo + step]
+            k_vw = tb.ypair_columns(bits, s_count, k_v, sel)
+            cls = bits[:, tb.pair_v[sel]] + bits[:, tb.pair_w[sel]]
+            h2 += _class_histogram(cls, k_vw, 3, nu2 + 1)
+        h = np.hstack([h1, h2])
+        out.update((name, _count_matmul(h, tables[name])) for name in pair_terms)
     return out
 
 

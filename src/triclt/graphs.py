@@ -238,6 +238,10 @@ class TripleBasis:
         Y_{v,w} = Y_v + Y_w - S_{ab} - X_{acd} - X_{bcd}.
 
     Both identities keep the batched paths at O(n_tri * n_edges) memory.
+    They are linear in X, so on triangle-bit rows they give integer counts:
+    Y_v is the number K_v of triangles in nu_v less nu p^3 (nu = 3(n-3)+1),
+    and Y_{v,w} for w != v is the number of triangles in nu_v u nu_w, a set
+    of 2nu - n triples, less (2nu - n) p^3.
     """
 
     n: int

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .moments import exact_moments, normal_cdf
 
 MAX_ORACLE_N = 7
 GRAPH_CHUNK = 4096  # graphs per inner_terms call
+FSUM_SLICE = 1 << 16  # values per list handed to math.fsum
 
 _FUNCTION_FAMILY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "1": lambda x: np.ones_like(x, dtype=np.complex128),
@@ -58,12 +60,21 @@ def resolve_test_function(name: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def fsum_array(a: np.ndarray) -> float:
-    """Compensated sum of a float array (exact rounding via math.fsum)."""
-    return math.fsum(a.tolist())
+    """Compensated sum of a float array (exact rounding via math.fsum).
+
+    fsum is correctly rounded whatever the order, so feeding it slices of
+    FSUM_SLICE values keeps the result and never builds a whole-array list.
+    """
+    a = np.ravel(a)
+    return math.fsum(
+        chain.from_iterable(
+            a[lo : lo + FSUM_SLICE].tolist() for lo in range(0, a.size, FSUM_SLICE)
+        )
+    )
 
 
 def fsum_complex(a: np.ndarray) -> complex:
-    return complex(math.fsum(a.real.tolist()), math.fsum(a.imag.tolist()))
+    return complex(fsum_array(a.real), fsum_array(a.imag))
 
 
 def _check_capacity(n: int, limit: int = MAX_ORACLE_N) -> None:
@@ -216,11 +227,6 @@ class _CouplingTables:
         self.s_pair = self.c3 * self.kappa / self.sigma**2 * self.sigma_vw
 
 
-@lru_cache(maxsize=8)
-def _tables(n: int, p: float) -> _CouplingTables:
-    return _CouplingTables(n, p)
-
-
 def _per_graph_terms(
     n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
 ) -> dict[str, np.ndarray]:
@@ -320,7 +326,7 @@ def verify_couplings(
     (iv)  E[(G D~ - S) h(W'')] = 0 for each named h (the testable surrogate
           of the matching W''-conditional expectations).
     """
-    tab = _tables(n, p)
+    tab = _CouplingTables(n, p)
     w = tab.weights
     tb = tab.arr.basis
     g_over_v = -(tab.c3 / tab.sigma) * tab.x  # (G, n_tri), G as function of (g, V)

@@ -9,6 +9,7 @@ from triclt.coupling import (
     COMPONENTS,
     DEFAULT_T_GRID,
     RTermEstimate,
+    T_COMPONENTS,
     assemble_bound,
     draw_couplings,
     estimate_r,
@@ -19,6 +20,8 @@ from triclt.coupling import (
 )
 from triclt.errors import InputError
 from triclt.graphs import (
+    Graph,
+    all_triples,
     centered_indicator,
     local_sum,
     neighborhood,
@@ -165,37 +168,76 @@ def test_graph_conditional_r41_is_second_order_in_t():
     assert v2 / v3 == pytest.approx(100.0, rel=0.05)
 
 
-def test_graph_conditional_matches_scalar_recomputation():
-    # independent recomputation of every component from scalar primitives:
-    # set-based neighbourhoods, no TripleBasis
+def _scalar_components(g, p, ts) -> dict:
+    """Every component of inner_terms for graph g, one value per t for the
+    per-t ones, recomputed from scalar primitives: set-based neighbourhoods,
+    no TripleBasis."""
     from itertools import combinations
 
-    n, p, t = 5, 0.3, 1.3
+    n = g.n
     mom = exact_moments(n, p)
     sigma = mom.sigma
-    cfg = SamplerConfig(n=n, p=p, seed=8)
-    g = sample_gnp(cfg, 4)
-    direct = dict.fromkeys(COMPONENTS, 0.0)
+    ts = np.asarray(ts, dtype=np.float64)
+    direct = {name: np.zeros(len(ts), dtype=np.complex128) for name in COMPONENTS}
     for v in combinations(range(n), 3):
         x_v = centered_indicator(g, p, v)
         y_v = local_sum(g, p, v)
-        phase = np.exp(-1j * t * y_v / sigma)
+        phase = np.exp(-1j * ts * y_v / sigma)
         direct["r1"] += abs(x_v) * y_v**2 / sigma**3
         direct["r2"] += -x_v * (phase - 1.0) / sigma
-        direct["r41"] += -x_v * (phase - 1.0 + 1j * t * y_v / sigma) / sigma
+        direct["r41"] += -x_v * (phase - 1.0 + 1j * ts * y_v / sigma) / sigma
         for w in neighborhood(v, n):
             x_w = centered_indicator(g, p, w)
             y_vw = local_sum(g, p, v, None if w == v else w)
             s_vw = mom.var_x if w == v else mom.cov_overlap2
-            ph = np.exp(-1j * t * y_vw / sigma) - 1.0
+            ph = np.exp(-1j * ts * y_vw / sigma) - 1.0
             direct["r32"] += abs(x_v * x_w) * abs(y_vw) / sigma**3
             direct["r33"] += s_vw * abs(y_vw) / sigma**3
             direct["r42"] += x_v * x_w * ph / sigma**2
             direct["r43"] += s_vw * ph / sigma**2
-    got = inner_terms(_x_rows(cfg, 4, 1), n, p, [t], COMPONENTS)
-    for name in COMPONENTS:
-        value = got[name][0] if got[name].ndim == 1 else got[name][0, 0]
-        assert value == pytest.approx(direct[name], abs=1e-12), name
+    return direct
+
+
+def test_graph_conditional_matches_scalar_recomputation():
+    cases = [
+        (5, 0.3, [1.3], [4]),
+        # p^3 = 0.343 is not dyadic; the empty and complete graphs put every
+        # neighbourhood count in the lowest and the highest bin; at t = 10
+        # the phase wraps several times
+        (6, 0.7, [0.01, 1.3, 10.0], ["empty", "complete", 0, 1]),
+    ]
+    for n, p, ts, draws in cases:
+        cfg = SamplerConfig(n=n, p=p, seed=8)
+        named = {"empty": Graph.empty(n), "complete": Graph.complete(n)}
+        graphs = [named[d] if d in named else sample_gnp(cfg, d) for d in draws]
+        x = np.array([[centered_indicator(g, p, v) for v in all_triples(n)] for g in graphs])
+        got = inner_terms(x, n, p, ts, COMPONENTS)
+        for row, g in enumerate(graphs):
+            direct = _scalar_components(g, p, ts)
+            for name in COMPONENTS:
+                want = direct[name] if name in T_COMPONENTS else direct[name][0].real
+                assert np.max(np.abs(got[name][row] - want)) <= 1e-12, (n, row, name)
+
+
+def test_graph_conditional_rejects_non_indicator_rows():
+    n, p = 5, 0.3
+    x = _x_rows(SamplerConfig(n=n, p=p, seed=8), 0, 3)
+    # rounding noise well inside the 1e-12 slack leaves every component as is
+    noisy = x + 1e-13 * np.random.default_rng(0).uniform(-1.0, 1.0, x.shape)
+    want = inner_terms(x, n, p, [1.3], COMPONENTS)
+    for name, values in inner_terms(noisy, n, p, [1.3], COMPONENTS).items():
+        assert np.array_equal(values, want[name]), name
+    arbitrary = np.random.default_rng(1).normal(size=x.shape)
+    off_by_one_entry = x.copy()
+    off_by_one_entry[1, 4] += 1e-9
+    not_a_bit = np.full_like(x, 2.0 - p**3)
+    not_a_number = x.copy()
+    not_a_number[2, 0] = np.nan
+    for bad in (arbitrary, off_by_one_entry, not_a_bit, not_a_number):
+        with pytest.raises(InputError):
+            inner_terms(bad, n, p, [1.3], ("r2",))
+    with pytest.raises(InputError):
+        inner_terms(x[:, :9], n, p, [1.3], ("r2",))
 
 
 def test_graph_conditional_variance_matches_exact_r2():
