@@ -206,6 +206,41 @@ def _count_matmul(h: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (h @ table.view(np.float64)).view(np.complex128)
 
 
+def term_tables(n: int, p: float, t_grid: Sequence[float]) -> dict:
+    """The summand of each inner_terms component, tabled over the histogram
+    columns: one row per (b_v, K_v), b_v-major, and for the pair components
+    r32, r33, r42 and r43 then one row per (b_v + b_w, K_{v,w}).  Counts @
+    table gives the component; the T_COMPONENTS tables hold a complex column
+    per t, the others are real vectors.
+    """
+    mom = exact_moments(n, p)
+    sig = mom.sigma
+    p3 = p**3
+    nu = 3 * (n - 3) + 1
+    nu2 = 2 * nu - n
+    t = np.asarray(t_grid, dtype=np.float64)
+
+    # tables over K, and the class weights: X_v by b_v, X_v X_w by b_v + b_w
+    y1 = np.arange(nu + 1) - nu * p3
+    y2 = np.arange(nu2 + 1) - nu2 * p3
+    ph1 = np.exp(-1j * t / sig * y1[:, None]) - 1.0
+    ph2 = np.exp(-1j * t / sig * y2[:, None]) - 1.0
+    x_b = np.array([-p3, 1.0 - p3])
+    xx_b = x_b * x_b
+    xx_c = np.array([xx_b[0], x_b[0] * x_b[1], xx_b[1]])
+    var_b = np.full(2, mom.var_x)
+    cov_c = np.full(3, mom.cov_overlap2)
+    return {
+        "r1": _outer_rows((np.abs(x_b), y1 * y1)) / sig**3,
+        "r2": -_outer_rows((x_b, ph1)) / sig,
+        "r41": -_outer_rows((x_b, ph1 + 1j * t / sig * y1[:, None])) / sig,
+        "r32": _outer_rows((xx_b, np.abs(y1)), (np.abs(xx_c), np.abs(y2))) / sig**3,
+        "r33": _outer_rows((var_b, np.abs(y1)), (cov_c, np.abs(y2))) / sig**3,
+        "r42": _outer_rows((xx_b, ph1), (xx_c, ph2)) / sig**2,
+        "r43": _outer_rows((var_b, ph1), (cov_c, ph2)) / sig**2,
+    }
+
+
 def inner_terms(
     x: np.ndarray, n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
 ) -> dict:
@@ -230,7 +265,8 @@ def inner_terms(
     depends only on (b_v, K_v), or for w != v on (b_v + b_w, K_{v,w}); pairs
     with w = v have Y_{v,v} = Y_v and reuse the (b_v, K_v) counts.  So one
     bincount per block gives each graph's integer counts H, and a component
-    is H @ table, with the summand tabled once per (class, K) and t.
+    is H @ table, with the summand tabled once per (class, K) and t by
+    `term_tables`.
 
     `terms` names the components wanted.  Each comes back as a real (m,)
     array, or for the T_COMPONENTS a complex (m, len(t_grid)) array.  Pair
@@ -243,37 +279,14 @@ def inner_terms(
     tb = triple_basis(n)
     if x.ndim != 2 or x.shape[1] != tb.n_triples:
         raise InputError(f"x must have {tb.n_triples} columns for n={n}")
-    p3 = p**3
-    bits = x + p3
+    bits = x + p**3
     if not np.all(np.abs(np.abs(bits - 0.5) - 0.5) <= 1e-12):
         raise InputError("x must hold centred triangle indicators: -p^3 or 1 - p^3")
     bits = np.rint(bits)
-    mom = exact_moments(n, p)
-    sig = mom.sigma
     m = x.shape[0]
     nu = tb.nu_size
     nu2 = 2 * nu - n
-    t = np.asarray(t_grid, dtype=np.float64)
-
-    # tables over K, and the class weights: X_v by b_v, X_v X_w by b_v + b_w
-    y1 = np.arange(nu + 1) - nu * p3
-    y2 = np.arange(nu2 + 1) - nu2 * p3
-    ph1 = np.exp(-1j * t / sig * y1[:, None]) - 1.0
-    ph2 = np.exp(-1j * t / sig * y2[:, None]) - 1.0
-    x_b = np.array([-p3, 1.0 - p3])
-    xx_b = x_b * x_b
-    xx_c = np.array([xx_b[0], x_b[0] * x_b[1], xx_b[1]])
-    var_b = np.full(2, mom.var_x)
-    cov_c = np.full(3, mom.cov_overlap2)
-    tables = {
-        "r1": _outer_rows((np.abs(x_b), y1 * y1)) / sig**3,
-        "r2": -_outer_rows((x_b, ph1)) / sig,
-        "r41": -_outer_rows((x_b, ph1 + 1j * t / sig * y1[:, None])) / sig,
-        "r32": _outer_rows((xx_b, np.abs(y1)), (np.abs(xx_c), np.abs(y2))) / sig**3,
-        "r33": _outer_rows((var_b, np.abs(y1)), (cov_c, np.abs(y2))) / sig**3,
-        "r42": _outer_rows((xx_b, ph1), (xx_c, ph2)) / sig**2,
-        "r43": _outer_rows((var_b, ph1), (cov_c, ph2)) / sig**2,
-    }
+    tables = term_tables(n, p, t_grid)
 
     s_count, k_v = tb.y_matrix(bits)
     h1 = _class_histogram(bits, k_v, 2, nu + 1).astype(np.float64)

@@ -290,12 +290,17 @@ class TripleBasis:
         """Y_{v,w} for the selected pair indices (vectorised gathers)."""
         pv = self.pair_v[pair_idx]
         pw = self.pair_w[pair_idx]
-        same = pv == pw
-        shared = np.where(same, 0, self.pair_shared[pair_idx])
-        u1 = np.where(same, 0, self.pair_u1[pair_idx])
-        u2 = np.where(same, 0, self.pair_u2[pair_idx])
-        corr = np.where(same[None, :], y[:, pv], s[:, shared] + x[:, u1] + x[:, u2])
-        return y[:, pv] + y[:, pw] - corr
+        # w = v pairs hold index -1 here; their columns are overwritten below
+        corr = (
+            s[:, self.pair_shared[pair_idx]]
+            + x[:, self.pair_u1[pair_idx]]
+            + x[:, self.pair_u2[pair_idx]]
+        )
+        out = y[:, pv] + y[:, pw] - corr
+        same = np.flatnonzero(pv == pw)
+        if same.size:
+            out[:, same] = y[:, pv[same]]
+        return out
 
 
 @lru_cache(maxsize=4)

@@ -10,6 +10,25 @@ extreme p), and final reductions use exact compensated summation
 (math.fsum), so accumulated error is O(eps) independent of the 2^E term
 count.
 
+The law of T and the characteristic-function ODE need no pass over the
+graphs: they reduce one p-independent integer table, `class_counts(n)`.
+M[k, T, b, K] counts the (graph, triple v) pairs with k edges, T triangles,
+triangle bit b at v and K triangles in nu_v.  A relabelling of the vertices
+maps triples to triples transitively and keeps k and T, so every triple
+sees the same counts and M is C(n,3) times those of triple 0 alone.  Every
+summand these routines need depends on the graph only through (k, T) and on
+V only through (b_V, K_V):
+
+* `enumerate_distribution` (hence `exact_dk`) sums the weight p^k(1-p)^(E-k)
+  against N[k, T] = M[k, T].sum() / C(n,3), the number of graphs in each
+  (k, T) class, exactly rounded;
+* `exact_chf_ode` takes phi and phi' from the same sums, and a(t), b(t) from
+  the per-T rows (sum_k w_k M[k, T]) @ the `coupling.term_tables` summands.
+
+The variances over graphs in `exact_r_terms` and the per-graph identities in
+`verify_couplings` are not linear in these counts; they still run over the
+enumerated graphs.
+
 The coupling quantities follow the construction used throughout the
 toolkit: V uniform on triples, V' uniform on the neighbourhood nu_V,
 
@@ -32,14 +51,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coupling import COMPONENTS, T_COMPONENTS, inner_terms
+from .coupling import COMPONENTS, T_COMPONENTS, inner_terms, term_tables
 from .errors import CapacityError, InputError
-from .graphs import Graph, TripleBasis, num_edges, triple_basis
+from .graphs import Graph, TripleBasis, num_edges, num_triples, triple_basis
 from .moments import exact_moments, normal_cdf
 
 MAX_ORACLE_N = 7
 GRAPH_CHUNK = 4096  # graphs per inner_terms call
 FSUM_SLICE = 1 << 16  # values per list handed to math.fsum
+# keeps a float64's sign, exponent and top 26 of its 52 stored mantissa bits
+_HI_MASK = np.uint64((1 << 64) - (1 << 26))
 
 _FUNCTION_FAMILY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "1": lambda x: np.ones_like(x, dtype=np.complex128),
@@ -120,6 +141,43 @@ def graph_weights(n: int, p: float, popcount: np.ndarray) -> np.ndarray:
     return class_w[popcount]
 
 
+@lru_cache(maxsize=None)  # one table per n <= MAX_ORACLE_N, 177 KB at n = 7
+def class_counts(n: int) -> np.ndarray:
+    """M[k, T, b, K]: the number of (graph, triple v) pairs with k edges, T
+    triangles, triangle bit b at v and K triangles in nu_v (v included).
+
+    Shape (E + 1, C(n,3) + 1, 2, 3(n-3) + 2), int64, read-only.  Built from
+    triple 0 alone and scaled by C(n,3); see the module docstring.
+    """
+    _check_capacity(n)
+    arr = oracle_arrays(n)
+    tb = arr.basis
+    tri = arr.tri_bits
+    t_all = tri.sum(axis=1, dtype=np.intp)
+    k_0 = tri[:, tb.pair_w[tb.pair_v == 0]].sum(axis=1, dtype=np.intp)
+    shape = (num_edges(n) + 1, tb.n_triples + 1, 2, tb.nu_size + 1)
+    flat = np.ravel_multi_index((arr.popcount, t_all, tri[:, 0], k_0), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    counts *= tb.n_triples
+    counts.flags.writeable = False
+    return counts
+
+
+def _prob_t(n: int, w: np.ndarray) -> np.ndarray:
+    """P(T = t) for t = 0..C(n,3), given the weight w[k] of a graph with k
+    edges: each the exactly rounded sum of its graphs' weights.
+
+    N[k, t] graphs have k edges and t triangles.  Each w[k] splits into its
+    top 27 significant bits and the rest; with N < 2^26 (at most 2^21 graphs
+    at n <= 7) both products with N are exact, so one math.fsum over them
+    rounds the exact sum once, as summing w[k] once per graph would.
+    """
+    graphs_kt = class_counts(n).sum(axis=(2, 3)) // num_triples(n)
+    hi = (w.view(np.uint64) & _HI_MASK).view(np.float64)
+    parts = np.concatenate([hi[:, None] * graphs_kt, (w - hi)[:, None] * graphs_kt])
+    return np.array([math.fsum(col) for col in parts.T.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # Exact distribution of T and Kolmogorov distance of W
 # ---------------------------------------------------------------------------
@@ -143,18 +201,11 @@ class ExactDistribution:
 
 
 def enumerate_distribution(n: int, p: float) -> ExactDistribution:
-    """Exact law of the triangle count T under G(n,p)."""
-    arr = oracle_arrays(n)
-    w = graph_weights(n, p, arr.popcount)
-    t_all = arr.tri_bits.sum(axis=1, dtype=np.int64)
-    atoms = []
-    for t in range(arr.basis.n_triples + 1):
-        sel = w[t_all == t]
-        if sel.size:
-            q = fsum_array(sel)
-            if q > 0.0:
-                atoms.append((t, q))
-    return ExactDistribution(n=n, p=p, atoms=tuple(atoms))
+    """Exact law of the triangle count T under G(n,p), each atom the exactly
+    rounded sum of its graphs' weights."""
+    prob = _prob_t(n, graph_weights(n, p, np.arange(num_edges(n) + 1)))
+    atoms = tuple((t, q) for t, q in enumerate(prob.tolist()) if q > 0.0)
+    return ExactDistribution(n=n, p=p, atoms=atoms)
 
 
 def exact_dk(n: int, p: float) -> float:
@@ -198,8 +249,8 @@ def exact_expectation(
 
 
 class _CouplingTables:
-    """Materialised per-graph arrays for n <= 6: centred indicators X,
-    neighbourhood sums Y, and pair sums Y_{v,w}."""
+    """Materialised per-graph arrays for n <= 6: centred indicators X, edge
+    cofactor sums S and neighbourhood sums Y."""
 
     def __init__(self, n: int, p: float):
         _check_capacity(n, limit=6)
@@ -215,9 +266,7 @@ class _CouplingTables:
         self.weights = graph_weights(n, p, self.arr.popcount)
 
         self.x = tb.x_matrix(self.arr.tri_bits, p)            # (G, n_tri)
-        s, self.y = tb.y_matrix(self.x)                       # (G, n_tri)
-        all_pairs = np.arange(tb.n_pairs)
-        self.y_pair = tb.ypair_columns(self.x, s, self.y, all_pairs)  # (G, n_pair)
+        self.s, self.y = tb.y_matrix(self.x)                  # (G, n_edge), (G, n_tri)
         self.w_stat = (
             self.arr.tri_bits.sum(axis=1, dtype=np.float64) - self.c3 * p**3
         ) / self.sigma
@@ -270,31 +319,32 @@ def exact_chf_ode(n: int, p: float, t: float) -> OdeCheck:
 
     All expectations are finite sums over (graph, V); the identity is exact,
     so any residual beyond float accumulation is an implementation bug.
+    They are taken over the (k, T, b_V, K_V) classes of `class_counts`.
     At t = 0 the limiting convention a = b = 0, residual 0 applies.
     """
     _check_capacity(n)
     if t == 0.0:
         return OdeCheck(t=0.0, phi=1.0 + 0j, phi_prime=0j, a_t=0j, b_t=0j, residual=0.0)
-    arr = oracle_arrays(n)
-    mom = exact_moments(n, p)
-    sigma = mom.sigma
-    c3 = arr.basis.n_triples
-    w = graph_weights(n, p, arr.popcount)
-    t_counts = arr.tri_bits.sum(axis=1, dtype=np.float64)
-    w_stat = (t_counts - c3 * p**3) / sigma
+    counts = class_counts(n)
+    c3 = num_triples(n)
+    w = graph_weights(n, p, np.arange(num_edges(n) + 1))
+    prob_t = _prob_t(n, w)
+    w_stat = (np.arange(c3 + 1) - c3 * p**3) / exact_moments(n, p).sigma
     e_itw = np.exp(1j * t * w_stat)
 
-    phi = fsum_complex(w * e_itw)
-    phi_prime = 1j * fsum_complex(w * w_stat * e_itw)
+    phi = fsum_complex(prob_t * e_itw)
+    phi_prime = 1j * fsum_complex(prob_t * w_stat * e_itw)
 
-    # inner conditional means over V: G(e^{itD}-1) and G(e^{itD}-1-itD)
-    inner = _per_graph_terms(n, p, [t], ("r2", "r41"))
-    inner_lin = inner["r2"][:, 0]
-    inner_full = inner["r41"][:, 0]
+    # E[inner mean over V; T = t] of G(e^{itD}-1) and G(e^{itD}-1-itD):
+    # per-t weighted (b, K) counts @ the summand tables
+    by_t = np.tensordot(w, counts, axes=1).reshape(c3 + 1, -1)
+    tables = term_tables(n, p, [t])
+    inner_lin = by_t @ tables["r2"][:, 0]
+    inner_full = by_t @ tables["r41"][:, 0]
 
-    a_t = fsum_complex(w * inner_full) / (1j * t)
-    mean_lin = fsum_complex(w * inner_lin)
-    b_t = 1j * fsum_complex(w * (inner_lin - mean_lin) * e_itw)
+    a_t = fsum_complex(inner_full) / (1j * t)
+    mean_lin = fsum_complex(inner_lin)
+    b_t = 1j * fsum_complex((inner_lin - prob_t * mean_lin) * e_itw)
     residual = abs(phi_prime + t * (1.0 + a_t) * phi - b_t)
     return OdeCheck(t=t, phi=phi, phi_prime=phi_prime, a_t=a_t, b_t=b_t, residual=residual)
 
@@ -360,22 +410,19 @@ def verify_couplings(
         / tab.mom.var_t
     )
 
-    weak = {}
-    for name in f_family:
-        h = resolve_test_function(name)
-        acc = np.zeros(w.size, dtype=np.complex128)
-        for m in range(tb.n_pairs):
-            v_idx, w_idx = tb.pair_v[m], tb.pair_w[m]
-            gdt = (
-                tab.c3
-                * tab.kappa
-                / tab.sigma**2
-                * tab.x[:, v_idx]
-                * tab.x[:, w_idx]
-            )
-            wpp = tab.w_stat - tab.y_pair[:, m] / tab.sigma
-            acc += (gdt - tab.s_pair[m]) * h(wpp)
-        weak[name] = abs(fsum_complex(w * acc / (tab.c3 * tab.kappa)))
+    # (iv) one pass over the pairs: each Y_{v,w} column feeds every h
+    h_family = {name: resolve_test_function(name) for name in f_family}
+    acc = {name: np.zeros(w.size, dtype=np.complex128) for name in h_family}
+    for m in range(tb.n_pairs):
+        v_idx, w_idx = tb.pair_v[m], tb.pair_w[m]
+        gdt = tab.c3 * tab.kappa / tab.sigma**2 * tab.x[:, v_idx] * tab.x[:, w_idx]
+        y_pair = tb.ypair_columns(tab.x, tab.s, tab.y, [m])[:, 0]
+        wpp = tab.w_stat - y_pair / tab.sigma
+        for name, h in h_family.items():
+            acc[name] += (gdt - tab.s_pair[m]) * h(wpp)
+    weak = {
+        name: abs(fsum_complex(w * a / (tab.c3 * tab.kappa))) for name, a in acc.items()
+    }
 
     return CouplingReport(
         n=n,

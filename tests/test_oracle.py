@@ -7,18 +7,61 @@ import numpy as np
 import pytest
 
 from triclt.errors import CapacityError, InputError
-from triclt.graphs import Graph, centered_indicator, local_sum, num_triples, triangle_count
+from triclt.graphs import (
+    Graph,
+    batch_triangle_counts,
+    centered_indicator,
+    has_triangle,
+    local_sum,
+    neighborhood,
+    num_edges,
+    num_triples,
+    triangle_count,
+)
 from triclt.moments import exact_moments, normal_cdf
 from triclt.oracle import (
+    _per_graph_terms,
+    class_counts,
     enumerate_distribution,
     exact_chf_ode,
     exact_dk,
     exact_expectation,
     exact_r_terms,
+    fsum_complex,
     graph_weights,
     oracle_arrays,
     verify_couplings,
 )
+
+
+# ---------------------------------------------------------------------------
+# class table
+# ---------------------------------------------------------------------------
+
+
+def brute_force_class_counts(n: int) -> np.ndarray:
+    """M[k, T, b, K] counted over every (graph, triple) with the scalar
+    Graph / has_triangle / neighborhood functions."""
+    triples = list(combinations(range(n), 3))
+    nbhd = {v: neighborhood(v, n) for v in triples}
+    out = np.zeros((num_edges(n) + 1, len(triples) + 1, 2, 3 * (n - 3) + 2), dtype=np.int64)
+    for mask in range(1 << num_edges(n)):
+        g = Graph(n, mask)
+        tri = {v: has_triangle(g, v) for v in triples}
+        t = sum(tri.values())
+        for v in triples:
+            out[g.edge_count(), t, int(tri[v]), sum(tri[u] for u in nbhd[v])] += 1
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_class_counts_match_brute_force(n):
+    assert np.array_equal(class_counts(n), brute_force_class_counts(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_class_counts_total(n):
+    assert class_counts(n).sum() == num_triples(n) * 2 ** num_edges(n)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +98,19 @@ def test_oracle_moments_match_closed_form(n, p):
     mom = exact_moments(n, p)
     assert d.mean() == pytest.approx(mom.mean_t, abs=1e-10)
     assert d.var() == pytest.approx(mom.var_t, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("p", [0.3, 0.7, 1e-3])
+def test_atoms_equal_per_graph_fsum(n, p):
+    # each atom is the exactly rounded sum of its graphs' weights, with T
+    # from the BLAS triangle count of every enumerated graph
+    masks = np.arange(1 << num_edges(n))
+    bits = ((masks[:, None] >> np.arange(num_edges(n))) & 1).astype(np.float32)
+    t_all = batch_triangle_counts(bits, n)
+    w = graph_weights(n, p, np.bitwise_count(masks))
+    want = tuple((t, math.fsum(w[t_all == t].tolist())) for t in np.unique(t_all).tolist())
+    assert enumerate_distribution(n, p).atoms == want
 
 
 def test_capacity_ceiling():
@@ -172,6 +228,39 @@ def test_ode_identity_n5(t):
 
 def test_ode_identity_n4_t2():
     assert exact_chf_ode(4, 0.5, 2.0).residual < 1e-9
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2])
+@pytest.mark.parametrize("t", [0.5, 4.0])
+def test_ode_identity_n7(p, t):
+    assert exact_chf_ode(7, p, t).residual < 1e-9
+
+
+def per_graph_ode(n: int, p: float, t: float) -> tuple:
+    """phi, phi', a(t), b(t) as weighted sums over every enumerated graph,
+    with the inner means over V from coupling.inner_terms."""
+    arr = oracle_arrays(n)
+    w = graph_weights(n, p, arr.popcount)
+    w_stat = (arr.tri_bits.sum(axis=1) - num_triples(n) * p**3) / exact_moments(n, p).sigma
+    e_itw = np.exp(1j * t * w_stat)
+    inner = _per_graph_terms(n, p, [t], ("r2", "r41"))
+    lin, full = inner["r2"][:, 0], inner["r41"][:, 0]
+    mean_lin = fsum_complex(w * lin)
+    return (
+        fsum_complex(w * e_itw),
+        1j * fsum_complex(w * w_stat * e_itw),
+        fsum_complex(w * full) / (1j * t),
+        1j * fsum_complex(w * (lin - mean_lin) * e_itw),
+    )
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("t", [0.5, 4.0])
+def test_ode_terms_match_per_graph_reduction(n, p, t):
+    chk = exact_chf_ode(n, p, t)
+    for got, want in zip((chk.phi, chk.phi_prime, chk.a_t, chk.b_t), per_graph_ode(n, p, t)):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_ode_residual_definition_consistent():
