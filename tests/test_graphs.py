@@ -107,6 +107,27 @@ def test_batch_triangle_counts_match_singles():
         assert batch[i] == triangle_count(sample_gnp(cfg, i))
 
 
+@pytest.mark.parametrize("n", range(3, 21))
+def test_batch_triangle_counts_every_small_n(n):
+    ne = num_edges(n)
+    rows = [np.zeros(ne, np.uint8), np.ones(ne, np.uint8)]
+    for k, p in enumerate((0.2, 0.5, 0.8)):
+        rows.extend(gnp_edge_bits(SamplerConfig(n=n, p=p, seed=n, stream=k), 0, 4))
+    counts = batch_triangle_counts(np.array(rows), n)
+    assert counts.dtype == np.int64
+    assert counts[0] == 0
+    assert counts[1] == math.comb(n, 3)
+    for row, t in zip(rows, counts):
+        g = Graph(n, sum(1 << int(r) for r in np.flatnonzero(row)))
+        assert t == naive_triangle_count(g)
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_batch_triangle_counts_complete_graph(n):
+    full = np.ones((2, num_edges(n)), dtype=np.uint8)
+    assert list(batch_triangle_counts(full, n)) == [math.comb(n, 3)] * 2
+
+
 # ---------------------------------------------------------------------------
 # centred indicators and local sums
 # ---------------------------------------------------------------------------

@@ -1,22 +1,42 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
+from triclt.cli import sample_proxy_w, sample_w
 from triclt.errors import ConfigError, InputError
 from conftest import proxy_brute_force_pmf
+from triclt.graphs import num_edges
 from triclt.sampler import (
+    PURPOSE_GNP_EDGE,
     SamplerConfig,
+    _BLOCK,
     _binom_cdf,
+    _threshold,
+    derive_key,
     gnp_edge_bits,
     proxy_samples,
     sample_gnp,
     sample_proxy,
     stream_chunks,
+    uniform_bits,
+    uniform_f64,
 )
+
+
+def splitmix_one_shot(key: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """splitmix64 of key + GOLDEN * counter over the whole array at once: the
+    unblocked expression form, with its constants written out here."""
+    u = np.uint64
+    with np.errstate(over="ignore"):
+        z = counters.astype(np.uint64) * u(0x9E3779B97F4A7C15) + key
+        z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+        return z ^ (z >> u(31))
 
 
 def test_config_validation():
@@ -98,6 +118,49 @@ def test_stream_chunks_split():
         stream_chunks(7, 0.4, 31, 0, 1, 2)
     with pytest.raises(ConfigError):
         stream_chunks(7, 0.4, 31, 10, 0, 2)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.054])
+@pytest.mark.parametrize("n, start, count", [(128, 3, 9), (16, 0, 1000)])
+def test_blocked_edge_bits_equal_one_shot(n, start, count, p):
+    # both ranges straddle mixing-block boundaries
+    ne = num_edges(n)
+    assert (start * ne) // _BLOCK != ((start + count) * ne - 1) // _BLOCK
+    cfg = SamplerConfig(n=n, p=p, seed=21, stream=1)
+    key = derive_key(cfg.seed, cfg.stream, PURPOSE_GNP_EDGE)
+    ctr = np.arange(start * ne, (start + count) * ne, dtype=np.uint64)
+    want = (splitmix_one_shot(key, ctr) < _threshold(p)).view(np.uint8)
+    got = gnp_edge_bits(cfg, start, count)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want.reshape(count, ne))
+    assert np.array_equal(uniform_bits(key, ctr) < _threshold(p), want.view(bool))
+
+
+def test_blocked_uniforms_equal_one_shot():
+    key = derive_key(4, 2, 9)
+    rng = np.random.default_rng(1)
+    ctr = rng.integers(0, 2**40, size=(3, 3 * _BLOCK // 2 + 5))
+    words = splitmix_one_shot(key, ctr)
+    assert np.array_equal(uniform_bits(key, ctr), words)
+    assert np.array_equal(uniform_f64(key, ctr), (words >> np.uint64(11)) * 2.0**-53)
+    assert uniform_bits(key, ctr[:0]).shape == (0, ctr.shape[1])
+
+
+# sha256 of the W bytes, computed before the mixing was blocked: a change to
+# any sample stream must update these deliberately
+STREAM_PINS = [
+    (lambda: sample_w(64, 0.5, 3000, 7),
+     "ac154838d5a43a06be663221ea9f28696b23ca4d1ab8e4f6ece285bcc5b00401"),
+    (lambda: sample_w(256, 256**-0.6, 70, 7, streams=2),
+     "9add02b21e8c79ca8c48893b44bf1e8de4d957c14d56bb8433141d0140795049"),
+    (lambda: sample_proxy_w(128, 0.5, 600, 7),
+     "8aa248daf4bc5a37ddc958e35fc601a225dee4dc7c5118065a80ba535aa9495a"),
+]
+
+
+@pytest.mark.parametrize("draw, digest", STREAM_PINS, ids=["w64", "w256_streams2", "proxy128"])
+def test_sample_streams_pinned(draw, digest):
+    assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
 
 
 def test_negative_index_rejected():
