@@ -7,7 +7,7 @@ graphs    canonical edge/triple indexing, triangle counting, local sums
 sampler   counter-based reproducible G(n,p) and proxy-model sampling
 moments   exact moments, regime rates, special functions, bound evaluators
 oracle    exhaustive small-n enumeration: distributions, identities, r-terms
-coupling  Monte Carlo coupling construction and r-term estimators
+coupling  exact inner expectations of the coupling and r-term estimators
 patterns  four-triangle overlap classes and covariance bound checks
 cli       experiment runner (``triclt`` entry point)
 """
@@ -39,4 +39,4 @@ from .moments import (  # noqa: F401
     regime_rates,
     theorem2_bound,
 )
-from .sampler import SamplerConfig, sample_gnp, sample_proxy  # noqa: F401
+from .sampler import SamplerConfig, sample_gnp  # noqa: F401

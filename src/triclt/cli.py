@@ -443,6 +443,8 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _run_patterns(cfg: ExperimentConfig) -> list[ResultRecord]:
+    if cfg.cov_check and len(cfg.n_list) != 1:
+        raise ConfigError("--cov-check needs exactly one n (use --n)")
     records = []
     p_grid = [round(0.05 * k, 2) for k in range(1, 20)]
     for anchor in cfg.anchors:
@@ -452,11 +454,11 @@ def _run_patterns(cfg: ExperimentConfig) -> list[ResultRecord]:
             measured = None
             ratio = None
             se = None
-            if cfg.cov_check and cfg.n_list:
+            if cfg.cov_check:
                 n = cfg.n_list[0]
                 p = cfg.resolve_p(n)
-                span_ok = max(x for t in cls.representative.triples() for x in t) < n
-                if span_ok and n <= 7:
+                # exact mode: n > 7 is a CapacityError from the oracle
+                if max(x for t in cls.representative.triples() for x in t) < n:
                     rep = pattern_cov_check(cls, n, p, t=1.0, mode="exact")
                     measured, ratio, se = rep.cov_abs, rep.ratio, 0.0
             mb = moment_bound_check(list(cls.representative.triples()), p_grid)

@@ -1,4 +1,4 @@
-"""Monte Carlo construction of the coupling and r-term estimators.
+"""Inner expectations of the coupling given the graph, and r-term estimators.
 
 For a graph, the inner conditional expectations over (V, V') are computed
 exactly by `inner_terms` (sums over all triples / neighbour pairs); the
@@ -40,15 +40,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import triple_basis
 from .moments import BoundInputs, exact_moments, regime_rates, theorem2_bound
-from .sampler import (
-    PURPOSE_COUPLING_V,
-    PURPOSE_COUPLING_VPRIME,
-    SamplerConfig,
-    derive_key,
-    gnp_edge_bits,
-    stream_chunks,
-    uniform_f64,
-)
+from .sampler import gnp_edge_bits, stream_chunks
 
 N_BATCHES = 16
 DEFAULT_T_GRID = tuple(np.geomspace(1e-2, 10.0, 24).tolist())
@@ -81,87 +73,6 @@ def psi_kernel(x):
 
 
 # ---------------------------------------------------------------------------
-# Coupling draws
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingBatch:
-    """Columnar batch of coupling draws (index-aligned arrays)."""
-
-    v_idx: np.ndarray
-    vp_idx: np.ndarray
-    w: np.ndarray
-    wp: np.ndarray
-    wpp: np.ndarray
-    g: np.ndarray
-    d: np.ndarray
-    dtilde: np.ndarray
-    dprime: np.ndarray
-    s: np.ndarray
-
-
-def draw_couplings(
-    cfg: SamplerConfig, sigma: float, start: int, count: int
-) -> CouplingBatch:
-    """Vectorised coupling draws for sample indices start..start+count-1."""
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
-    tb = triple_basis(cfg.n)
-    mom = exact_moments(cfg.n, cfg.p)
-    c3 = tb.n_triples
-    kappa = tb.nu_size
-
-    bits = gnp_edge_bits(cfg, start, count)
-    tri = tb.triangle_bits(bits)
-    x = tb.x_matrix(tri, cfg.p)
-    s_edges, y = tb.y_matrix(x)
-    w_stat = x.sum(axis=1) / sigma
-
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    u_v = uniform_f64(derive_key(cfg.seed, cfg.stream, PURPOSE_COUPLING_V), idx)
-    u_vp = uniform_f64(derive_key(cfg.seed, cfg.stream, PURPOSE_COUPLING_VPRIME), idx)
-    v_idx = np.minimum((u_v * c3).astype(np.int64), c3 - 1)
-    off = np.minimum((u_vp * kappa).astype(np.int64), kappa - 1)
-    pair_id = v_idx * kappa + off
-    vp_idx = tb.pair_w[pair_id]
-
-    rows = np.arange(count)
-    x_v = x[rows, v_idx]
-    g_val = -(c3 / sigma) * x_v
-    d_val = -y[rows, v_idx] / sigma
-    dtilde = -(kappa / sigma) * x[rows, vp_idx]
-
-    same = v_idx == vp_idx
-    shared = np.where(same, 0, tb.pair_shared[pair_id])
-    u1 = np.where(same, 0, tb.pair_u1[pair_id])
-    u2 = np.where(same, 0, tb.pair_u2[pair_id])
-    corr = np.where(
-        same,
-        y[rows, v_idx],
-        s_edges[rows, shared] + x[rows, u1] + x[rows, u2],
-    )
-    y_pair = y[rows, v_idx] + y[rows, vp_idx] - corr
-    dprime = -y_pair / sigma
-    s_val = (
-        c3 * kappa / sigma**2 * np.where(same, mom.var_x, mom.cov_overlap2)
-    )
-
-    return CouplingBatch(
-        v_idx=v_idx,
-        vp_idx=vp_idx,
-        w=w_stat,
-        wp=w_stat + d_val,
-        wpp=w_stat + dprime,
-        g=g_val,
-        d=d_val,
-        dtilde=dtilde,
-        dprime=dprime,
-        s=s_val,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Inner expectations given the graph
 # ---------------------------------------------------------------------------
 
@@ -176,7 +87,8 @@ FAMILIES = {
     "r4": ("r41", "r42", "r43"),
 }
 # elements per (graphs x pairs) block in inner_terms and per (graphs x
-# triples) chunk in estimate_r: every temporary stays near 4 MiB
+# triples) chunk in estimate_r and the mc pattern check: every temporary
+# stays near 4 MiB
 BLOCK = 1 << 18
 
 

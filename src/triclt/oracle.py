@@ -244,36 +244,8 @@ def exact_expectation(
 
 
 # ---------------------------------------------------------------------------
-# Internal per-(n, p) coupling tables
+# Per-graph inner terms
 # ---------------------------------------------------------------------------
-
-
-class _CouplingTables:
-    """Materialised per-graph arrays for n <= 6: centred indicators X, edge
-    cofactor sums S and neighbourhood sums Y."""
-
-    def __init__(self, n: int, p: float):
-        _check_capacity(n, limit=6)
-        self.arr = oracle_arrays(n)
-        self.n = n
-        self.p = p
-        tb = self.arr.basis
-        mom = exact_moments(n, p)
-        self.mom = mom
-        self.sigma = mom.sigma
-        self.c3 = tb.n_triples
-        self.kappa = 3 * (n - 3) + 1  # |nu_v|
-        self.weights = graph_weights(n, p, self.arr.popcount)
-
-        self.x = tb.x_matrix(self.arr.tri_bits, p)            # (G, n_tri)
-        self.s, self.y = tb.y_matrix(self.x)                  # (G, n_edge), (G, n_tri)
-        self.w_stat = (
-            self.arr.tri_bits.sum(axis=1, dtype=np.float64) - self.c3 * p**3
-        ) / self.sigma
-        # S and sigma_{v,w} along the flattened (v, w in nu_v) pair list
-        same = tb.pair_v == tb.pair_w
-        self.sigma_vw = np.where(same, mom.var_x, mom.cov_overlap2)
-        self.s_pair = self.c3 * self.kappa / self.sigma**2 * self.sigma_vw
 
 
 def _per_graph_terms(
@@ -376,53 +348,57 @@ def verify_couplings(
     (iv)  E[(G D~ - S) h(W'')] = 0 for each named h (the testable surrogate
           of the matching W''-conditional expectations).
     """
-    tab = _CouplingTables(n, p)
-    w = tab.weights
-    tb = tab.arr.basis
-    g_over_v = -(tab.c3 / tab.sigma) * tab.x  # (G, n_tri), G as function of (g, V)
+    _check_capacity(n, limit=6)
+    arr = oracle_arrays(n)
+    tb = arr.basis
+    mom = exact_moments(n, p)
+    sigma = mom.sigma
+    c3, kappa = tb.n_triples, tb.nu_size
+    w = graph_weights(n, p, arr.popcount)
+    x = tb.x_matrix(arr.tri_bits, p)  # (G, n_tri)
+    s, y = tb.y_matrix(x)  # (G, n_edge), (G, n_tri)
+    w_stat = (arr.tri_bits.sum(axis=1, dtype=np.float64) - c3 * p**3) / sigma
+    g_over_v = -(c3 / sigma) * x  # (G, n_tri), G as function of (g, V)
+    # S along the flattened (v, w in nu_v) pair list
+    sigma_vw = np.where(tb.pair_v == tb.pair_w, mom.var_x, mom.cov_overlap2)
+    s_pair = c3 * kappa / sigma**2 * sigma_vw
 
     eq5 = {}
     for name in f_family:
         f = resolve_test_function(name)
-        fw = f(tab.w_stat)
+        fw = f(w_stat)
         lhs_terms = np.zeros(w.size, dtype=np.complex128)
-        for k in range(tab.c3):
-            wp = tab.w_stat - tab.y[:, k] / tab.sigma
+        for k in range(c3):
+            wp = w_stat - y[:, k] / sigma
             lhs_terms += g_over_v[:, k] * (f(wp) - fw)
-        lhs = fsum_complex(w * lhs_terms / tab.c3)
-        rhs = fsum_complex(w * tab.w_stat * fw)
+        lhs = fsum_complex(w * lhs_terms / c3)
+        rhs = fsum_complex(w * w_stat * fw)
         eq5[name] = abs(lhs - rhs)
 
     # (ii) both sides per graph, each by its own literal average
     lhs_g = np.zeros(w.size, dtype=np.float64)
     for m in range(tb.n_pairs):
         v_idx, w_idx = tb.pair_v[m], tb.pair_w[m]
-        dtilde = -(tab.kappa / tab.sigma) * tab.x[:, w_idx]
+        dtilde = -(kappa / sigma) * x[:, w_idx]
         lhs_g += g_over_v[:, v_idx] * dtilde
-    lhs_g /= tab.c3 * tab.kappa
-    rhs_g = np.mean(g_over_v * (-tab.y / tab.sigma), axis=1)
+    lhs_g /= c3 * kappa
+    rhs_g = np.mean(g_over_v * (-y / sigma), axis=1)
     per_graph = float(np.max(np.abs(lhs_g - rhs_g)))
 
-    e_s_enum = float(np.mean(tab.s_pair))
-    e_s_analytic = (
-        tab.c3
-        * (tab.mom.var_x + 3.0 * (n - 3) * tab.mom.cov_overlap2)
-        / tab.mom.var_t
-    )
+    e_s_enum = float(np.mean(s_pair))
+    e_s_analytic = c3 * (mom.var_x + 3.0 * (n - 3) * mom.cov_overlap2) / mom.var_t
 
     # (iv) one pass over the pairs: each Y_{v,w} column feeds every h
     h_family = {name: resolve_test_function(name) for name in f_family}
     acc = {name: np.zeros(w.size, dtype=np.complex128) for name in h_family}
     for m in range(tb.n_pairs):
         v_idx, w_idx = tb.pair_v[m], tb.pair_w[m]
-        gdt = tab.c3 * tab.kappa / tab.sigma**2 * tab.x[:, v_idx] * tab.x[:, w_idx]
-        y_pair = tb.ypair_columns(tab.x, tab.s, tab.y, [m])[:, 0]
-        wpp = tab.w_stat - y_pair / tab.sigma
+        gdt = c3 * kappa / sigma**2 * x[:, v_idx] * x[:, w_idx]
+        y_pair = tb.ypair_columns(x, s, y, [m])[:, 0]
+        wpp = w_stat - y_pair / sigma
         for name, h in h_family.items():
-            acc[name] += (gdt - tab.s_pair[m]) * h(wpp)
-    weak = {
-        name: abs(fsum_complex(w * a / (tab.c3 * tab.kappa))) for name, a in acc.items()
-    }
+            acc[name] += (gdt - s_pair[m]) * h(wpp)
+    weak = {name: abs(fsum_complex(w * a / (c3 * kappa))) for name, a in acc.items()}
 
     return CouplingReport(
         n=n,

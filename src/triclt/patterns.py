@@ -38,12 +38,13 @@ from .graphs import (
     all_triples,
     edge_union_size,
     neighborhood,
+    triple_basis,
     triple_edges,
     triple_rank,
 )
 from .moments import exact_moments
-from .coupling import batch_edges, phi_kernel, psi_kernel
-from .sampler import SamplerConfig, gnp_edge_bits
+from .coupling import BLOCK, batch_edges, phi_kernel, psi_kernel
+from .sampler import gnp_edge_bits, stream_chunks
 from . import oracle as _oracle
 
 MAX_PATTERN_VERTICES = 9
@@ -340,8 +341,9 @@ class CovCheckReport:
     samples: int = 0
 
 
-def _pattern_arrays(cfg: PatternConfig, n: int, tri_bits: np.ndarray, p: float):
-    """X factors and the two Y_{v,w} sums for a batch of graphs."""
+def _pattern_arrays(cfg: PatternConfig, n: int, tri_bits: np.ndarray, p: float, f):
+    """The two kernel products a = X_v X_w f(Y_{v,w}) and
+    b = X_{v'} X_{w'} f(Y_{v',w'}) for a batch of graphs."""
     idx = {u: triple_rank(u) for u in (cfg.v, cfg.w, cfg.vp, cfg.wp)}
     x_of = {
         u: tri_bits[:, r].astype(np.float64) - p**3 for u, r in idx.items()
@@ -352,7 +354,7 @@ def _pattern_arrays(cfg: PatternConfig, n: int, tri_bits: np.ndarray, p: float):
     y1 -= len(nu1) * p**3
     y2 = tri_bits[:, [triple_rank(u) for u in nu2]].sum(axis=1, dtype=np.float64)
     y2 -= len(nu2) * p**3
-    return x_of, y1, y2
+    return x_of[cfg.v] * x_of[cfg.w] * f(y1), x_of[cfg.vp] * x_of[cfg.wp] * f(y2)
 
 
 def pattern_cov_check(
@@ -369,8 +371,9 @@ def pattern_cov_check(
     f = g the phi (or psi) kernel evaluated at t x / sigma, and report the
     ratio against the class's lemma bound family.
 
-    exact mode enumerates all graphs (n <= 7); mc mode uses seeded sampling
-    with 16-batch standard errors.
+    exact mode enumerates all graphs (n <= 7); mc mode draws `samples`
+    graphs from one counter-based stream of `seed`, with 16-batch standard
+    errors.
     """
     cfg = cls.representative
     span = {x for tr in cfg.triples() for x in tr}
@@ -378,17 +381,22 @@ def pattern_cov_check(
         raise InputError(f"pattern needs n > {max(span)}")
     mom = exact_moments(n, p)
     sigma = mom.sigma
-    kern = phi_kernel if kernel == "phi" else psi_kernel
-    lip = (abs(t) / (2.0 * sigma)) if kernel == "phi" else (abs(t) / sigma)
+    if kernel == "phi":
+        kern, lip = phi_kernel, abs(t) / (2.0 * sigma)
+    elif kernel == "psi":
+        kern, lip = psi_kernel, abs(t) / sigma
+    else:
+        raise InputError(f"unknown kernel {kernel!r}")
     lip_prod = lip * lip
     fam = lemma_bound_family(cls.lemma_tag, n, p, cls.m)
+
+    def f(y):
+        return kern(t * y / sigma)
 
     if mode == "exact":
         arr = _oracle.oracle_arrays(n)
         w = _oracle.graph_weights(n, p, arr.popcount)
-        x_of, y1, y2 = _pattern_arrays(cfg, n, arr.tri_bits, p)
-        a = x_of[cfg.v] * x_of[cfg.w] * kern(t * y1 / sigma)
-        b = x_of[cfg.vp] * x_of[cfg.wp] * kern(t * y2 / sigma)
+        a, b = _pattern_arrays(cfg, n, arr.tri_bits, p, f)
         mean_a = _oracle.fsum_complex(w * a)
         mean_b = _oracle.fsum_complex(w * b)
         cov = _oracle.fsum_complex(w * (a - mean_a) * np.conj(b - mean_b))
@@ -398,20 +406,18 @@ def pattern_cov_check(
     elif mode == "mc":
         if samples < 10_000:
             raise InputError("mc mode needs samples >= 10^4")
-        from .graphs import triple_basis
-
         tb = triple_basis(n)
-        cfg_s = SamplerConfig(n=n, p=p, seed=seed)
+        a = np.empty(samples, dtype=np.complex128)
+        b = np.empty_like(a)
+        step = max(1, BLOCK // tb.n_triples)
+        for cfg_s, start, count, pos in stream_chunks(n, p, seed, samples, 1, step):
+            tri = tb.triangle_bits(gnp_edge_bits(cfg_s, start, count))
+            a[pos : pos + count], b[pos : pos + count] = _pattern_arrays(cfg, n, tri, p, f)
         edges = batch_edges(samples)
         covs = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            bits = gnp_edge_bits(cfg_s, int(lo), int(hi - lo))
-            tri = tb.triangle_bits(bits)
-            x_of, y1, y2 = _pattern_arrays(cfg, n, tri, p)
-            a = x_of[cfg.v] * x_of[cfg.w] * kern(t * y1 / sigma)
-            b = x_of[cfg.vp] * x_of[cfg.wp] * kern(t * y2 / sigma)
-            da = a - a.mean()
-            db = b - b.mean()
+            da = a[lo:hi] - a[lo:hi].mean()
+            db = b[lo:hi] - b[lo:hi].mean()
             covs.append(np.mean(da * np.conj(db)))
         # |mean| of the batch covariances, with the SE of that complex mean
         cov_abs = float(abs(np.mean(covs)))

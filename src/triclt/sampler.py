@@ -45,8 +45,6 @@ _MIX2 = U64(0x94D049BB133111EB)
 PURPOSE_GNP_EDGE = 0
 PURPOSE_PROXY_EDGE = 1
 PURPOSE_PROXY_GROUP = 2
-PURPOSE_COUPLING_V = 3
-PURPOSE_COUPLING_VPRIME = 4
 
 # counters per mixing block; see the module docstring
 _BLOCK = 1 << 16
@@ -70,32 +68,24 @@ def derive_key(seed: int, stream: int, purpose: int = 0) -> np.uint64:
         return _finalize(k + U64(purpose) * _GOLDEN)
 
 
-def _mixed_blocks(key: np.uint64, counters):
+def _mixed_blocks(key: np.uint64, counters: range):
     """splitmix64 words of (key + GOLDEN * counter), one block at a time.
 
-    `counters` is a ``range`` or a 1-D integer array.  Yields (lo, hi, z)
-    where z holds the words of counters[lo:hi]; z is one buffer reused for
-    every block, so each block must be consumed before the next is drawn.
-    A contiguous range never materialises its counters: a block is
-    GOLDEN * ramp plus one offset.  uint64 arithmetic wraps mod 2^64 by
-    design.
+    `counters` is a contiguous ``range``, never materialised: a block is
+    GOLDEN * ramp plus one offset.  Yields (lo, hi, z) where z holds the
+    words of counters[lo:hi]; z is one buffer reused for every block, so
+    each block must be consumed before the next is drawn.  uint64
+    arithmetic wraps mod 2^64 by design.
     """
     size = len(counters)
     z = np.empty(min(size, _BLOCK), dtype=np.uint64)
     t = np.empty_like(z)
-    contiguous = isinstance(counters, range)
-    if contiguous:
-        g_ramp = np.arange(z.size, dtype=np.uint64) * _GOLDEN
+    g_ramp = np.arange(z.size, dtype=np.uint64) * _GOLDEN
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
         zb, tb = z[: hi - lo], t[: hi - lo]
-        if contiguous:
-            offset = (int(key) + int(_GOLDEN) * (counters.start + lo)) & _MASK64
-            np.add(g_ramp[: hi - lo], U64(offset), out=zb)
-        else:
-            zb[:] = counters[lo:hi]
-            zb *= _GOLDEN
-            zb += key
+        offset = (int(key) + int(_GOLDEN) * (counters.start + lo)) & _MASK64
+        np.add(g_ramp[: hi - lo], U64(offset), out=zb)
         np.right_shift(zb, U64(30), out=tb)
         zb ^= tb
         zb *= _MIX1
@@ -105,20 +95,6 @@ def _mixed_blocks(key: np.uint64, counters):
         np.right_shift(zb, U64(31), out=tb)
         zb ^= tb
         yield lo, hi, zb
-
-
-def uniform_bits(key: np.uint64, counters: np.ndarray) -> np.ndarray:
-    """Uniform uint64 words for an array of counters (non-destructive)."""
-    flat = np.asarray(counters).ravel()
-    out = np.empty(flat.size, dtype=np.uint64)
-    for lo, hi, z in _mixed_blocks(key, flat):
-        out[lo:hi] = z
-    return out.reshape(np.shape(counters))
-
-
-def uniform_f64(key: np.uint64, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) with 53 random bits."""
-    return (uniform_bits(key, counters) >> U64(11)) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)
@@ -244,10 +220,3 @@ def proxy_samples(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
         counts = np.searchsorted(cdf, u[:, lo : lo + j], side="right")
         y += (counts * edge_on[:, lo : lo + j]).sum(axis=1)
     return y
-
-
-def sample_proxy(cfg: SamplerConfig, index: int) -> int:
-    """One draw of the proxy statistic Y."""
-    if index < 0:
-        raise InputError("index must be >= 0")
-    return int(proxy_samples(cfg, index, 1)[0])

@@ -372,6 +372,17 @@ def test_main_exit_codes(tmp_path):
     assert main(["moments", "--n", "4", "--p", "fixed:0.5", "--out", str(ok)]) == 0
 
 
+def test_patterns_cov_check_takes_one_n_up_to_7(tmp_path):
+    base = ["patterns", "--anchors", "r411", "--cov-check", "--p", "fixed:0.5"]
+    assert main(base + ["--n", "8"]) == 3    # capacity: exact enumeration
+    assert main(base + ["--n", "7,6"]) == 2  # config: one n only
+    assert main(base) == 2                   # config: no n
+    out = tmp_path / "pat.jsonl"
+    assert main(base + ["--n", "6", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text().splitlines()[0])["extra"]["rows"]
+    assert all(row["measured"] is not None for row in rows)
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("TRICLT_OUT", str(tmp_path))
     rc = main(["moments", "--n", "4", "--p", "fixed:0.5"])

@@ -11,7 +11,6 @@ from triclt.coupling import (
     RTermEstimate,
     T_COMPONENTS,
     assemble_bound,
-    draw_couplings,
     estimate_r,
     inner_terms,
     phi_kernel,
@@ -65,78 +64,6 @@ def test_psi_kernel_lipschitz_one():
     y = rng.uniform(-30, 30, size=10_000)
     lhs = np.abs(psi_kernel(x) - psi_kernel(y))
     assert np.all(lhs <= np.abs(x - y) + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# coupling draws
-# ---------------------------------------------------------------------------
-
-
-def test_draw_on_empty_graph_fixed_g():
-    n, p, m = 5, 0.3, 400
-    mom = exact_moments(n, p)
-    cfg = SamplerConfig(n=n, p=p, seed=9)
-    batch = draw_couplings(cfg, mom.sigma, 0, m)
-    empty = ~gnp_edge_bits(cfg, 0, m).any(axis=1)
-    assert empty.sum() >= 5
-    assert np.allclose(batch.g[empty], num_triples(n) * p**3 / mom.sigma, rtol=1e-12)
-
-
-def test_draw_invariants_hold_exactly():
-    n, p = 6, 0.4
-    mom = exact_moments(n, p)
-    cfg = SamplerConfig(n=n, p=p, seed=21)
-    triples = triple_basis(n).triples
-    batch = draw_couplings(cfg, mom.sigma, 0, 10)
-    for index in range(10):
-        g = sample_gnp(cfg, index)
-        v, vp = triples[batch.v_idx[index]], triples[batch.vp_idx[index]]
-        assert batch.wp[index] == pytest.approx(batch.w[index] + batch.d[index], abs=1e-14)
-        assert batch.wpp[index] == pytest.approx(
-            batch.w[index] + batch.dprime[index], abs=1e-14
-        )
-        # G and D~ follow the centred-indicator construction
-        assert batch.g[index] == pytest.approx(
-            -num_triples(n) * centered_indicator(g, p, v) / mom.sigma
-        )
-        assert batch.d[index] == pytest.approx(-local_sum(g, p, v) / mom.sigma, abs=1e-12)
-        kappa = 3 * (n - 3) + 1
-        assert batch.dtilde[index] == pytest.approx(
-            -kappa * centered_indicator(g, p, vp) / mom.sigma
-        )
-        w_opt = None if vp == v else vp
-        assert batch.dprime[index] == pytest.approx(
-            -local_sum(g, p, v, w_opt) / mom.sigma, abs=1e-12
-        )
-        s_expect = (
-            num_triples(n)
-            * kappa
-            / mom.var_t
-            * (mom.var_x if vp == v else mom.cov_overlap2)
-        )
-        assert batch.s[index] == pytest.approx(s_expect, rel=1e-12)
-
-
-def test_vprime_uniform_on_neighbourhood():
-    n, p, m = 5, 0.3, 100_000
-    mom = exact_moments(n, p)
-    batch = draw_couplings(SamplerConfig(n=n, p=p, seed=12), mom.sigma, 0, m)
-    frac = float(np.mean(batch.v_idx == batch.vp_idx))
-    expect = 1.0 / 7.0  # |nu_v| = 3(n-3)+1 = 7
-    band = 3 * math.sqrt(expect * (1 - expect) / m)
-    assert abs(frac - expect) < band
-
-
-def test_mc_identities_es_and_egd():
-    n, p, m = 5, 0.3, 150_000
-    mom = exact_moments(n, p)
-    batch = draw_couplings(SamplerConfig(n=n, p=p, seed=5), mom.sigma, 0, m)
-    es = float(batch.s.mean())
-    se_s = float(batch.s.std(ddof=1) / math.sqrt(m))
-    assert abs(es - 1.0) < 3 * se_s
-    gd = batch.g * batch.d
-    se_gd = float(gd.std(ddof=1) / math.sqrt(m))
-    assert abs(float(gd.mean()) - 1.0) < 3 * se_gd
 
 
 # ---------------------------------------------------------------------------

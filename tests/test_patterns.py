@@ -293,6 +293,10 @@ def test_cov_check_mc_uses_every_sample():
     cls = _class_from_pin("l9_representative")
     mc = pattern_cov_check(cls, 7, 0.7, t=1.0, mode="mc", samples=10_007, seed=2)
     assert mc.samples == 10_007
+    # computed when each of the 16 batches drew its own graphs: the report
+    # depends only on the sample stream, not on how it is chunked
+    assert mc.cov_abs == 0.0011312808139327907
+    assert mc.std_error == 0.00014705417326626893
 
 
 def test_cov_check_validation():
@@ -303,6 +307,8 @@ def test_cov_check_validation():
         pattern_cov_check(cls, 7, 0.5, t=1.0, mode="mc", samples=100)
     with pytest.raises(InputError):
         pattern_cov_check(cls, 7, 0.5, t=1.0, mode="bogus")
+    with pytest.raises(InputError, match="kernel"):
+        pattern_cov_check(cls, 7, 0.5, t=1.0, mode="exact", kernel="Phi")
 
 
 def test_lemma_bound_family_shapes():
