@@ -18,6 +18,11 @@ d_K records (sample-dk, proxy) carry a ``timing`` dict: seconds and
 samples/s.  Output is JSON lines; the patterns subcommand also writes a CSV
 mirror.
 
+A ``--config`` file holds ``key = value`` lines whose keys are the flag
+names (``_`` or ``-``); a switch takes ``true`` or ``false``.  The file is
+read as those flags placed before the command line's, so flags win.  An
+unknown key, a bad value or a missing file is a config error.
+
 Exit codes: 0 ok, 1 usage, 2 config, 3 capacity, 4 numeric failure.
 """
 
@@ -42,7 +47,7 @@ from .graphs import batch_triangle_counts
 from .moments import (
     BoundInputs,
     exact_moments,
-    normal_cdf,
+    kolmogorov_distance,
     proxy_exact,
     regime_rates,
     theorem2_bound,
@@ -70,10 +75,7 @@ def empirical_dk(w_samples: Sequence[float], delta: float = DEFAULT_DKW_DELTA) -
         raise InputError("need at least two samples")
     if not (0.0 < delta < 1.0):
         raise InputError("delta must be in (0,1)")
-    phi = np.asarray(normal_cdf(w))
-    hi = np.arange(1, m + 1) / m
-    lo = np.arange(0, m) / m
-    dk = float(np.max(np.maximum(np.abs(hi - phi), np.abs(lo - phi))))
+    dk = kolmogorov_distance(w, np.arange(1, m + 1) / m)
     return {"dk": dk, "dkw_band": math.sqrt(math.log(2.0 / delta) / (2.0 * m))}
 
 
@@ -185,12 +187,12 @@ def _canonical_payload(obj) -> str:
 class ResultRecord:
     config: dict
     quantity: str
-    n: Optional[int]
-    p: Optional[float]
-    value: Optional[float]
-    std_error: Optional[float]
-    regime: Optional[str]
-    extra: dict
+    n: Optional[int] = None
+    p: Optional[float] = None
+    value: Optional[float] = None
+    std_error: Optional[float] = None
+    regime: Optional[str] = None
+    extra: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: float = 0.0
     # where the run's time went; like the timestamp, outside content_hash
@@ -224,21 +226,8 @@ class ResultRecord:
 
 
 def _mkrecord(cfg: ExperimentConfig, quantity: str, **kw) -> ResultRecord:
-    config_echo = dataclasses.asdict(cfg)
-    config_echo.pop("out", None)
-    config_echo.pop("input_path", None)
-    return ResultRecord(
-        config=config_echo,
-        quantity=quantity,
-        n=kw.get("n"),
-        p=kw.get("p"),
-        value=kw.get("value"),
-        std_error=kw.get("std_error"),
-        regime=kw.get("regime"),
-        extra=kw.get("extra", {}),
-        timestamp=time.time(),
-        timing=kw.get("timing", {}),
-    )
+    echo = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("out", "input_path")}
+    return ResultRecord(config=echo, quantity=quantity, timestamp=time.time(), **kw)
 
 
 def _timing(samples: int, t0: float) -> dict:
@@ -291,19 +280,9 @@ def _run_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
         value = None
         r = cfg.r_inputs
         if r:
-            if cfg.form == "extended":
-                inputs = BoundInputs(
-                    r3=r.get("r3", 0.0),
-                    r3_tilde=r.get("r3_tilde", r.get("r3", 0.0)),
-                    r4=r.get("r4", 0.0),
-                )
-            else:
-                inputs = BoundInputs(
-                    r1=r.get("r1", 0.0),
-                    r1_tilde=r.get("r1_tilde", r.get("r1", 0.0)),
-                    r2=r.get("r2", 0.0),
-                )
-            value = theorem2_bound(inputs, cfg.form)
+            # an r~ not given defaults to its plain r-term
+            tildes = {"r1_tilde": r.get("r1", 0.0), "r3_tilde": r.get("r3", 0.0)}
+            value = theorem2_bound(BoundInputs(**{**tildes, **r}), cfg.form)
             extra["form"] = cfg.form
             extra["r_inputs"] = dict(r)
         records.append(
@@ -406,17 +385,7 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
         estimates = {k: est[k] for k in names}
         detail = {k: est[k].value for k in parts}
         dk_res = empirical_dk(est["w"], cfg.delta)
-        report = assemble_bound(
-            n,
-            p,
-            estimates,
-            r_tilde_policy=cfg.r_tilde_policy,
-            form=cfg.form,
-            t_grid=t_grid,
-            empirical_dk=dk_res["dk"],
-            dk_band=dk_res["dkw_band"],
-            metadata={"seed": cfg.seed, "samples": cfg.samples},
-        )
+        report = assemble_bound(n, p, estimates, cfg.r_tilde_policy, cfg.form)
         records.append(
             _mkrecord(
                 cfg,
@@ -433,8 +402,8 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
                     "r_tilde_adjusted": report.r_tilde_adjusted,
                     "thm1_rate": report.thm1_rate,
                     "r3_theoretical": report.r3_theory,
-                    "empirical_dk": report.empirical_dk,
-                    "dk_band": report.dk_band,
+                    "empirical_dk": dk_res["dk"],
+                    "dk_band": dk_res["dkw_band"],
                     "std_errors": {k: v.std_error for k, v in estimates.items()},
                 },
             )
@@ -445,22 +414,32 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _run_patterns(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.cov_check and len(cfg.n_list) != 1:
         raise ConfigError("--cov-check needs exactly one n (use --n)")
+    # each class with the number of vertices its representative spans
+    tables = [
+        (anchor, [(c, 1 + max(max(t) for t in c.representative.triples()))
+                  for c in enumerate_classes(anchor)])
+        for anchor in cfg.anchors
+    ]
+    if cfg.cov_check:
+        n = cfg.n_list[0]
+        p = cfg.resolve_p(n)
+        for anchor, classes in tables:
+            need = min(size for _, size in classes)
+            if need > n:
+                raise ConfigError(f"--cov-check: no class of {anchor} fits in n = {n}; "
+                                  f"it needs n >= {need}")
     records = []
     p_grid = [round(0.05 * k, 2) for k in range(1, 20)]
-    for anchor in cfg.anchors:
-        classes = enumerate_classes(anchor)
+    for anchor, classes in tables:
         rows = []
-        for idx, cls in enumerate(classes):
+        for idx, (cls, size) in enumerate(classes):
             measured = None
             ratio = None
             se = None
-            if cfg.cov_check:
-                n = cfg.n_list[0]
-                p = cfg.resolve_p(n)
-                # exact mode: n > 7 is a CapacityError from the oracle
-                if max(x for t in cls.representative.triples() for x in t) < n:
-                    rep = pattern_cov_check(cls, n, p, t=1.0, mode="exact")
-                    measured, ratio, se = rep.cov_abs, rep.ratio, 0.0
+            # exact mode: n > 7 is a CapacityError from the oracle
+            if cfg.cov_check and size <= n:
+                rep = pattern_cov_check(cls, n, p, t=1.0, mode="exact")
+                measured, ratio, se = rep.cov_abs, rep.ratio, 0.0
             mb = moment_bound_check(list(cls.representative.triples()), p_grid)
             rows.append(
                 {
@@ -494,16 +473,15 @@ def _run_rate_fit(cfg: ExperimentConfig) -> list[ResultRecord]:
         raise ConfigError("rate-fit needs --input pointing at a records file")
     points = []
     configs = []
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            body = json.loads(line)
-            if body.get("quantity") == cfg.quantity and body.get("value") is not None:
-                points.append((float(body["n"]), float(body["value"])))
-                config = body.get("config", {})
-                configs.append({k: v for k, v in config.items() if k != "n_list"})
+    for line in _read_text(cfg.input_path).splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        body = json.loads(line)
+        if body.get("quantity") == cfg.quantity and body.get("value") is not None:
+            points.append((float(body["n"]), float(body["value"])))
+            config = body.get("config", {})
+            configs.append({k: v for k, v in config.items() if k != "n_list"})
     if len(points) < 3:
         raise ConfigError(
             f"found {len(points)} usable records for quantity {cfg.quantity!r}"
@@ -636,25 +614,52 @@ def _parse_list(text: str, cast) -> tuple:
     return tuple(cast(tok) for tok in text.split(",") if tok.strip())
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {raw.rstrip()!r}")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+# options that argparse keeps as strings: parsed afterwards, a bad value is
+# a config error (exit 2) rather than a usage error
+_PARSED_AFTER = {
+    "n_list": lambda s: _parse_list(s, int),
+    "p_rule": parse_p_rule,
+    "t_grid": lambda s: _parse_list(s, float),
+    "anchors": lambda s: _parse_list(s, str),
+}
+_R_INPUTS = ("r1", "r1_tilde", "r2", "r3", "r3_tilde", "r4")
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _config_flags(path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags, `_`
+    read as `-`; the value `true` gives the bare switch, `false` omits it."""
+    flags = []
+    for raw in _read_text(path).splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: bad config line {raw!r}")
+        key, value = (tok.strip() for tok in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if value != "false":
+            flags.append(flag if value == "true" else f"{flag}={value}")
+    return flags
 
 
 def build_config(argv: Sequence[str]) -> ExperimentConfig:
-    parser = _Parser(prog="triclt", description=__doc__)
+    """Flags, and a --config file read as the same flags placed before them
+    (argparse keeps the last value, so flags win).  The file is first
+    parsed alone, so its errors are config errors that name it.  Options
+    take their dests from ExperimentConfig's fields; one left unset is
+    absent from the namespace, so the field's default holds."""
+    parser = _Parser(prog="triclt", description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
-    parser.add_argument("--n", help="comma-separated vertex counts")
-    parser.add_argument("--p", help="p rule: fixed:VALUE or power:C,ALPHA")
+    parser.add_argument("--n", dest="n_list", help="comma-separated vertex counts")
+    parser.add_argument("--p", dest="p_rule", help="p rule: fixed:VALUE or power:C,ALPHA")
     parser.add_argument("--samples", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--streams", type=int)
@@ -665,74 +670,29 @@ def build_config(argv: Sequence[str]) -> ExperimentConfig:
     parser.add_argument("--form", choices=["simple", "extended"])
     parser.add_argument("--r-tilde-policy", choices=["estimate", "theoretical"])
     parser.add_argument("--anchors", help="pattern anchors, e.g. r411,r414")
-    parser.add_argument("--cov-check", action="store_true", default=None)
-    parser.add_argument("--couplings", action="store_true", default=None)
+    parser.add_argument("--cov-check", action="store_true")
+    parser.add_argument("--couplings", action="store_true")
     parser.add_argument("--quantity")
     parser.add_argument("--input", dest="input_path")
-    for key in ("r1", "r1-tilde", "r2", "r3", "r3-tilde", "r4"):
-        parser.add_argument(f"--{key}", type=float)
+    for key in _R_INPUTS:
+        parser.add_argument("--" + key.replace("_", "-"), type=float)
     ns = parser.parse_args(list(argv))
-
-    merged: dict = {}
-    if ns.config:
-        merged.update(_read_config_file(ns.config))
-
-    def pick(flag_value, key, cast=None, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in merged:
-            return cast(merged[key]) if cast else merged[key]
-        return default
-
+    path = getattr(ns, "config", None)
+    if path:
+        file_flags = _config_flags(path)
+        try:
+            parser.parse_args([ns.subcommand, *file_flags])
+        except _UsageError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        ns = parser.parse_args([*file_flags, *argv])
+    args = vars(ns)
+    args.pop("config", None)
+    r_inputs = {key: args.pop(key) for key in _R_INPUTS if key in args}
     try:
-        n_list = pick(
-            _parse_list(ns.n, int) if ns.n else None, "n", lambda s: _parse_list(s, int), ()
-        )
-        p_rule = pick(
-            parse_p_rule(ns.p) if ns.p else None, "p", parse_p_rule, {}
-        )
-        t_grid = pick(
-            _parse_list(ns.t_grid, float) if ns.t_grid else None,
-            "t_grid",
-            lambda s: _parse_list(s, float),
-            (),
-        )
-        r_inputs = {}
-        for key in ("r1", "r1_tilde", "r2", "r3", "r3_tilde", "r4"):
-            val = getattr(ns, key, None)
-            if val is None and key in merged:
-                val = float(merged[key])
-            if val is not None:
-                r_inputs[key] = float(val)
-        cfg = ExperimentConfig(
-            subcommand=ns.subcommand,
-            n_list=tuple(n_list),
-            p_rule=dict(p_rule),
-            samples=int(pick(ns.samples, "samples", int, 10_000)),
-            seed=int(pick(ns.seed, "seed", int, 1)),
-            streams=int(pick(ns.streams, "streams", int, 1)),
-            t_grid=tuple(t_grid),
-            out=pick(ns.out, "out"),
-            delta=float(pick(ns.delta, "delta", float, DEFAULT_DKW_DELTA)),
-            form=pick(ns.form, "form", str, "extended"),
-            r_tilde_policy=pick(ns.r_tilde_policy, "r_tilde_policy", str, "theoretical"),
-            anchors=tuple(
-                pick(
-                    _parse_list(ns.anchors, str) if ns.anchors else None,
-                    "anchors",
-                    lambda s: _parse_list(s, str),
-                    ("r411", "r414"),
-                )
-            ),
-            cov_check=bool(pick(ns.cov_check, "cov_check", lambda s: s == "true", False)),
-            couplings=bool(pick(ns.couplings, "couplings", lambda s: s == "true", False)),
-            quantity=pick(ns.quantity, "quantity", str, "empirical_dk"),
-            input_path=pick(ns.input_path, "input"),
-            r_inputs=r_inputs,
-        )
-    except (ValueError, KeyError) as exc:
+        args.update((key, parse(args[key])) for key, parse in _PARSED_AFTER.items() if key in args)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(r_inputs=r_inputs, **args)
 
 
 def _output_path(cfg: ExperimentConfig) -> Optional[str]:

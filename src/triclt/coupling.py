@@ -32,7 +32,7 @@ Everything is a pure function of (seed, streams, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -376,18 +376,16 @@ class BoundReport:
     form: str
     regime: str
     thm1_rate: float
-    wasserstein_rate: float
     r3_theory: float
     r_values: dict
     r_tilde: float
     r_tilde_policy: str
     r_tilde_adjusted: bool
     bound: float
-    t_grid: tuple = ()
-    samples: int = 0
-    empirical_dk: Optional[float] = None
-    dk_band: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
+
+
+# the plain r-term paired with the free parameter r~, and the tail term
+_FORM_TERMS = {"simple": ("r1", "r2"), "extended": ("r3", "r4")}
 
 
 def assemble_bound(
@@ -396,68 +394,41 @@ def assemble_bound(
     estimates: dict,
     r_tilde_policy: str = "theoretical",
     form: str = "extended",
-    t_grid: Sequence[float] = (),
-    empirical_dk: Optional[float] = None,
-    dk_band: Optional[float] = None,
-    metadata: Optional[dict] = None,
 ) -> BoundReport:
     """Assemble the coupling Kolmogorov bound from r-term estimates.
 
     estimates maps component names ('r1', 'r2', 'r3', 'r4') to
-    RTermEstimate.  Under the theoretical policy the free parameter r3~ is
-    the closed-form rate; if the estimate exceeds it, the report flags the
-    violation and uses max(r3~, r3) so the bound stays valid.
+    RTermEstimate.  The free parameter r~ (r1~ in the simple form, r3~ in
+    the extended one) is the closed-form r3 rate under the theoretical
+    policy, or the estimate of its plain r-term under the estimate policy.
+    If r~ falls below that estimate, the report flags the violation and
+    uses the estimate, so the bound stays valid.
     """
-    if form not in ("simple", "extended"):
+    if form not in _FORM_TERMS:
         raise InputError(f"unknown form {form!r}")
     if r_tilde_policy not in ("estimate", "theoretical"):
         raise InputError(f"unknown policy {r_tilde_policy!r}")
+    plain, tail = _FORM_TERMS[form]
+    for key in (plain, tail):
+        if key not in estimates:
+            raise InputError(f"{form} form needs {key!r} estimate")
     rates = regime_rates(n, p)
     r3_th = r3_theoretical(n, p)
-    r_values = {k: v.value for k, v in estimates.items()}
-
-    adjusted = False
-    if form == "extended":
-        for key in ("r3", "r4"):
-            if key not in estimates:
-                raise InputError(f"extended form needs {key!r} estimate")
-        r3 = estimates["r3"].value
-        r4 = estimates["r4"].value
-        r_tilde = r3_th if r_tilde_policy == "theoretical" else r3
-        if r_tilde < r3:
-            adjusted = True
-            r_tilde = max(r_tilde, r3)
-        bound = theorem2_bound(
-            BoundInputs(r3=r3, r3_tilde=r_tilde, r4=r4), "extended"
-        )
-    else:
-        for key in ("r1", "r2"):
-            if key not in estimates:
-                raise InputError(f"simple form needs {key!r} estimate")
-        r1 = estimates["r1"].value
-        r2 = estimates["r2"].value
-        r_tilde = r1 if r_tilde_policy == "estimate" else max(r3_th, r1)
-        if r_tilde < r1:
-            adjusted = True
-            r_tilde = r1
-        bound = theorem2_bound(BoundInputs(r1=r1, r1_tilde=r_tilde, r2=r2), "simple")
-
+    r = estimates[plain].value
+    r_tilde = r3_th if r_tilde_policy == "theoretical" else r
+    adjusted = r_tilde < r
+    r_tilde = max(r_tilde, r)
+    inputs = BoundInputs(**{plain: r, f"{plain}_tilde": r_tilde, tail: estimates[tail].value})
     return BoundReport(
         n=n,
         p=p,
         form=form,
         regime=rates.regime,
         thm1_rate=rates.thm1_rate,
-        wasserstein_rate=rates.wasserstein_rate,
         r3_theory=r3_th,
-        r_values=r_values,
+        r_values={k: v.value for k, v in estimates.items()},
         r_tilde=r_tilde,
         r_tilde_policy=r_tilde_policy,
         r_tilde_adjusted=adjusted,
-        bound=bound,
-        t_grid=tuple(t_grid),
-        samples=max((e.samples for e in estimates.values()), default=0),
-        empirical_dk=empirical_dk,
-        dk_band=dk_band,
-        metadata=dict(metadata or {}),
+        bound=theorem2_bound(inputs, form),
     )

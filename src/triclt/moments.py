@@ -138,6 +138,15 @@ def normal_cdf(x):
     return _sp.ndtr(x)
 
 
+def kolmogorov_distance(x, cdf) -> float:
+    """sup |F - Phi| for a distribution function F that jumps only at the
+    ascending atoms x, with F(x) = cdf there: the sup is attained at an
+    atom, from the left (the previous cdf value) or from the right."""
+    phi = normal_cdf(np.asarray(x, dtype=np.float64))
+    left = np.concatenate(([0.0], cdf[:-1]))
+    return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
+
+
 # ---------------------------------------------------------------------------
 # Smoothing-lemma and characteristic-function bound evaluators
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ import numpy as np
 from .coupling import COMPONENTS, T_COMPONENTS, inner_terms, term_tables
 from .errors import CapacityError, InputError
 from .graphs import Graph, TripleBasis, num_edges, num_triples, triple_basis
-from .moments import exact_moments, normal_cdf
+from .moments import exact_moments, kolmogorov_distance
 
 MAX_ORACLE_N = 7
 GRAPH_CHUNK = 4096  # graphs per inner_terms call
@@ -210,17 +210,12 @@ def enumerate_distribution(n: int, p: float) -> ExactDistribution:
 
 def exact_dk(n: int, p: float) -> float:
     """Exact Kolmogorov distance between the law of W = (T - ET)/sd(T) and
-    the standard normal: for a discrete law the sup is attained at atoms,
-    from the left or the right."""
+    the standard normal."""
     dist = enumerate_distribution(n, p)
     mom = exact_moments(n, p)
     ts = np.array([t for t, _ in dist.atoms], dtype=np.float64)
     qs = np.array([q for _, q in dist.atoms], dtype=np.float64)
-    x = (ts - mom.mean_t) / mom.sigma
-    cdf = np.cumsum(qs)
-    phi = np.asarray(normal_cdf(x))
-    left = np.concatenate(([0.0], cdf[:-1]))
-    return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
+    return kolmogorov_distance((ts - mom.mean_t) / mom.sigma, np.cumsum(qs))
 
 
 # ---------------------------------------------------------------------------

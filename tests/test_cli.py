@@ -139,11 +139,22 @@ def test_power_rule_guard():
 
 def test_build_config_flags_and_file(tmp_path):
     conf = tmp_path / "exp.conf"
-    conf.write_text("n = 4,5\np = fixed:0.25\nsamples = 1234\nseed = 9\n")
+    conf.write_text(
+        "n = 4,5\np = fixed:0.25\nsamples = 1234\nseed = 9\n"
+        "t_grid = 1,2\ncov_check = true\ncouplings = false\n"
+    )
     cfg = build_config(["moments", "--config", str(conf)])
     assert cfg.n_list == (4, 5)
     assert cfg.p_rule == {"kind": "fixed", "value": 0.25}
     assert cfg.samples == 1234
+    assert cfg.t_grid == (1.0, 2.0)
+    assert cfg.cov_check is True
+    assert cfg.couplings is False
+    # a switch takes only true or false
+    bad = tmp_path / "bad.conf"
+    bad.write_text("couplings = yes\n")
+    with pytest.raises(ConfigError, match="bad.conf"):
+        build_config(["moments", "--config", str(bad)])
     # flags win over the file
     cfg = build_config(["moments", "--config", str(conf), "--p", "fixed:0.5", "--seed", "3"])
     assert cfg.p_rule["value"] == 0.5
@@ -370,6 +381,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["sample-dk", "--n", "16", "--p", "power:1.0,0.6"]) == 2  # np < 4
     ok = tmp_path / "ok.jsonl"
     assert main(["moments", "--n", "4", "--p", "fixed:0.5", "--out", str(ok)]) == 0
+    # config files: a misspelled or unknown key and a bad choice are config
+    # errors before any work, as is a missing --config or --input file
+    for name, line in (("typo", "sampels = 5000"), ("unknown", "foo = 1"),
+                       ("choice", "form = banana")):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(f"n = 4\np = fixed:0.5\n{line}\n")
+        assert main(["moments", "--config", str(conf), "--out", str(ok)]) == 2
+    assert main(["moments", "--config", str(tmp_path / "missing.conf")]) == 2
+    assert main(["rate-fit", "--input", str(tmp_path / "missing.jsonl")]) == 2
 
 
 def test_patterns_cov_check_takes_one_n_up_to_7(tmp_path):
@@ -377,6 +397,14 @@ def test_patterns_cov_check_takes_one_n_up_to_7(tmp_path):
     assert main(base + ["--n", "8"]) == 3    # capacity: exact enumeration
     assert main(base + ["--n", "7,6"]) == 2  # config: one n only
     assert main(base) == 2                   # config: no n
+    # config: every r414 class spans 6 vertices or more
+    assert main(["patterns", "--anchors", "r414", "--cov-check", "--n", "5",
+                 "--p", "fixed:0.5"]) == 2
+    part = tmp_path / "part.jsonl"
+    assert main(["patterns", "--anchors", "r414", "--cov-check", "--n", "6",
+                 "--p", "fixed:0.5", "--out", str(part)]) == 0
+    rows = json.loads(part.read_text())["extra"]["rows"]
+    assert sum(row["measured"] is not None for row in rows) == 5
     out = tmp_path / "pat.jsonl"
     assert main(base + ["--n", "6", "--out", str(out)]) == 0
     rows = json.loads(out.read_text().splitlines()[0])["extra"]["rows"]

@@ -271,6 +271,17 @@ def test_assemble_flags_r_tilde_violation():
     assert rep.bound == pytest.approx(0.76 * big + 6.10 * big, rel=1e-12)
 
 
+def test_assemble_flags_r_tilde_violation_simple():
+    big = r3_theoretical(16, 0.5) * 10
+    rep = assemble_bound(
+        16, 0.5, {"r1": _est(big), "r2": _est(0.0)}, r_tilde_policy="theoretical",
+        form="simple",
+    )
+    assert rep.r_tilde_adjusted
+    assert rep.r_tilde == big
+    assert rep.bound == pytest.approx(3.43 * big, rel=1e-12)
+
+
 def test_assemble_simple_passthrough():
     rep = assemble_bound(
         16,
