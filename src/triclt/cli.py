@@ -18,10 +18,10 @@ d_K records (sample-dk, proxy) carry a ``timing`` dict: seconds and
 samples/s.  Output is JSON lines; the patterns subcommand also writes a CSV
 mirror.
 
-A ``--config`` file holds ``key = value`` lines whose keys are the flag
-names (``_`` or ``-``); a switch takes ``true`` or ``false``.  The file is
-read as those flags placed before the command line's, so flags win.  An
-unknown key, a bad value or a missing file is a config error.
+A ``--config`` file holds ``key = value`` lines whose keys are the full flag
+names (``_`` or ``-``); only a switch takes ``true`` or ``false``.  The file
+is read as those flags placed before the command line's, so flags win.  An
+unknown or abbreviated key, a bad value or a missing file is a config error.
 
 Exit codes: 0 ok, 1 usage, 2 config, 3 capacity, 4 numeric failure.
 """
@@ -622,7 +622,9 @@ _PARSED_AFTER = {
     "t_grid": lambda s: _parse_list(s, float),
     "anchors": lambda s: _parse_list(s, str),
 }
-_R_INPUTS = ("r1", "r1_tilde", "r2", "r3", "r3_tilde", "r4")
+_R_INPUTS = tuple(f.name for f in dataclasses.fields(BoundInputs))
+# ExperimentConfig's bool fields: the only keys a config file sets to true/false
+_SWITCHES = {f.name for f in dataclasses.fields(ExperimentConfig) if isinstance(f.default, bool)}
 
 
 def _read_text(path: str) -> str:
@@ -635,7 +637,8 @@ def _read_text(path: str) -> str:
 
 def _config_flags(path: str) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags, `_`
-    read as `-`; the value `true` gives the bare switch, `false` omits it."""
+    read as `-`; for a switch, `true` gives the bare flag and `false` omits
+    it.  Any other value, or any value of another key, passes through."""
     flags = []
     for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -645,8 +648,10 @@ def _config_flags(path: str) -> list[str]:
             raise ConfigError(f"{path}: bad config line {raw!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if value != "false":
-            flags.append(flag if value == "true" else f"{flag}={value}")
+        if key.replace("-", "_") not in _SWITCHES or value not in ("true", "false"):
+            flags.append(f"{flag}={value}")
+        elif value == "true":
+            flags.append(flag)
     return flags
 
 
@@ -656,7 +661,8 @@ def build_config(argv: Sequence[str]) -> ExperimentConfig:
     parsed alone, so its errors are config errors that name it.  Options
     take their dests from ExperimentConfig's fields; one left unset is
     absent from the namespace, so the field's default holds."""
-    parser = _Parser(prog="triclt", description=__doc__, argument_default=argparse.SUPPRESS)
+    parser = _Parser(prog="triclt", description=__doc__, allow_abbrev=False,
+                     argument_default=argparse.SUPPRESS)
     parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--n", dest="n_list", help="comma-separated vertex counts")
     parser.add_argument("--p", dest="p_rule", help="p rule: fixed:VALUE or power:C,ALPHA")

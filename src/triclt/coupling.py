@@ -76,20 +76,33 @@ def psi_kernel(x):
 # Inner expectations given the graph
 # ---------------------------------------------------------------------------
 
-# per-graph components of the r-terms; those in T_COMPONENTS are per t
+# per-graph components of the r-terms.  A per-t component reduces at each t
+# to sqrt(Var over graphs)/|t|^power, with its power here; the others reduce
+# to means over graphs.
 COMPONENTS = ("r1", "r2", "r32", "r33", "r41", "r42", "r43")
-T_COMPONENTS = ("r2", "r41", "r42", "r43")
-# the components each r-term family is assembled from
+T_POWERS = {"r2": 1, "r41": 2, "r42": 1, "r43": 1}
+# each r-term family as weights on its components, a per-t component
+# entering by its sup over the t-grid: r3 = r1/2 + r32 + r33 and r4 is the
+# sum of the sups of r41, r42 and r43
 FAMILIES = {
-    "r1": ("r1",),
-    "r2": ("r2",),
-    "r3": ("r1", "r32", "r33"),
-    "r4": ("r41", "r42", "r43"),
+    "r1": {"r1": 1.0},
+    "r2": {"r2": 1.0},
+    "r3": {"r1": 0.5, "r32": 1.0, "r33": 1.0},
+    "r4": {"r41": 1.0, "r42": 1.0, "r43": 1.0},
 }
 # elements per (graphs x pairs) block in inner_terms and per (graphs x
 # triples) chunk in estimate_r and the mc pattern check: every temporary
 # stays near 4 MiB
 BLOCK = 1 << 18
+
+
+def compose(family: str, parts: dict) -> tuple[float, float]:
+    """Value and standard error of an r-term family from its components'
+    (value, SE) pairs, a per-t component's taken at its sup over the grid:
+    the FAMILIES-weighted sum, with SE sqrt(sum weight^2 SE^2)."""
+    weights = FAMILIES[family].items()
+    value = sum(wt * parts[c][0] for c, wt in weights)
+    return value, math.sqrt(sum(wt**2 * parts[c][1] ** 2 for c, wt in weights))
 
 
 def _class_histogram(cls: np.ndarray, k: np.ndarray, n_cls: int, size: int) -> np.ndarray:
@@ -122,8 +135,8 @@ def term_tables(n: int, p: float, t_grid: Sequence[float]) -> dict:
     """The summand of each inner_terms component, tabled over the histogram
     columns: one row per (b_v, K_v), b_v-major, and for the pair components
     r32, r33, r42 and r43 then one row per (b_v + b_w, K_{v,w}).  Counts @
-    table gives the component; the T_COMPONENTS tables hold a complex column
-    per t, the others are real vectors.
+    table gives the component; a per-t component's table holds a complex
+    column per t, the others are real vectors.
     """
     mom = exact_moments(n, p)
     sig = mom.sigma
@@ -181,7 +194,7 @@ def inner_terms(
     `term_tables`.
 
     `terms` names the components wanted.  Each comes back as a real (m,)
-    array, or for the T_COMPONENTS a complex (m, len(t_grid)) array.  Pair
+    array, or for the per-t components a complex (m, len(t_grid)) array.  Pair
     counts run over blocks of pairs, so memory is O(m * n_triples + BLOCK).
     Raises InputError unless every entry of x is -p^3 or 1 - p^3 (to 1e-12).
     """
@@ -202,7 +215,8 @@ def inner_terms(
 
     s_count, k_v = tb.y_matrix(bits)
     h1 = _class_histogram(bits, k_v, 2, nu + 1).astype(np.float64)
-    pair_terms = terms - {"r1", "r2", "r41"}
+    # a table with rows past the (b_v, K_v) block also sums over pairs
+    pair_terms = {name for name in terms if len(tables[name]) > h1.shape[1]}
     out = {name: _count_matmul(h1, tables[name]) for name in terms - pair_terms}
     if pair_terms:
         h2 = np.zeros((m, 3 * (nu2 + 1)))
@@ -310,7 +324,7 @@ def estimate_r(
     terms = {c for name in names for c in FAMILIES[name]}
     edges = batch_edges(samples)
     accs = {
-        c: _BatchMoments(edges, (len(t_grid),) if c in T_COMPONENTS else ())
+        c: _BatchMoments(edges, (len(t_grid),) if c in T_POWERS else ())
         for c in terms
     }
     w = np.empty(samples, dtype=np.float64)
@@ -325,31 +339,19 @@ def estimate_r(
         return RTermEstimate(value=float(value), std_error=float(se), samples=samples, t=t)
 
     out: dict = {"w": w}
-    means = {c: est(*accs[c].mean()) for c in ("r1", "r32", "r33") if c in terms}
-    for c, power in (("r2", 1.0), ("r41", 2.0), ("r42", 1.0), ("r43", 1.0)):
+    parts = {c: est(*accs[c].mean()) for c in terms - set(T_POWERS)}
+    for c, power in T_POWERS.items():
         if c in terms:
             values, ses = accs[c].sd(np.abs(t_grid) ** power)
-            per_t = [est(v, se, t) for v, se, t in zip(values, ses, t_grid)]
-            out[f"{c}_by_t"] = per_t
-            out[c] = max(per_t, key=lambda e: e.value)
-    if "r1" in names:
-        out["r1"] = means["r1"]
-    if "r3" in names:
-        r31, r32, r33 = means["r1"], means["r32"], means["r33"]
-        out.update(
-            r31=r31,
-            r32=r32,
-            r33=r33,
-            r3=est(
-                0.5 * r31.value + r32.value + r33.value,
-                math.sqrt(0.25 * r31.std_error**2 + r32.std_error**2 + r33.std_error**2),
-            ),
-        )
-    if "r4" in names:
-        sups = [out["r41"], out["r42"], out["r43"]]
-        out["r4"] = est(
-            sum(e.value for e in sups), math.sqrt(sum(e.std_error**2 for e in sups))
-        )
+            out[f"{c}_by_t"] = [est(v, se, t) for v, se, t in zip(values, ses, t_grid)]
+            parts[c] = out[c] = max(out[f"{c}_by_t"], key=lambda e: e.value)
+    for name, weights in FAMILIES.items():
+        if name in names and len(weights) == 1:
+            out[name] = parts[name]  # a bare family keeps its component's t
+        elif name in names:
+            # r3's r1 component is reported under its paper name, r31
+            out.update(("r31" if c == "r1" else c, parts[c]) for c in weights)
+            out[name] = est(*compose(name, {c: (e.value, e.std_error) for c, e in parts.items()}))
     return out
 
 # ---------------------------------------------------------------------------
@@ -360,13 +362,8 @@ def estimate_r(
 def r3_theoretical(n: int, p: float) -> float:
     """Regime-wise closed form for the r3 scale (C = 1):
     n^5(1-p)/sigma^3 dense, n^5 p^7/sigma^3 middle, n^3 p^3/sigma^3 sparse."""
-    mom = exact_moments(n, p)
-    s3 = mom.sigma**3
-    if p > 0.5:
-        return n**5 * (1.0 - p) / s3
-    if p > n ** (-0.5):
-        return n**5 * p**7 / s3
-    return n**3 * p**3 / s3
+    scale = {"dense": n**5 * (1.0 - p), "middle": n**5 * p**7, "sparse": n**3 * p**3}
+    return scale[regime_rates(n, p).regime] / exact_moments(n, p).sigma**3
 
 
 @dataclass(frozen=True)

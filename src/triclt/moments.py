@@ -19,7 +19,7 @@ never absolute levels.  Logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,12 +186,11 @@ def lemma2_bound(params: Lemma2Params) -> float:
         + (2/pi) B1 (1 + 2 log_+ 1/(2t)) + (4/pi) B2/t + 24 t/(pi sqrt(2 pi))
     """
     q = params
-    log_term = max(math.log(1.0 / (2.0 * q.t)), 0.0)
     return (
         (2.0 / math.pi) * q.a0
         + (4.0 / (3.0 * math.sqrt(math.pi))) * q.a1
         + (math.sqrt(math.pi) / 2.0) * q.b0
-        + (2.0 / math.pi) * q.b1 * (1.0 + 2.0 * log_term)
+        + (2.0 / math.pi) * q.b1 * (1.0 + 2.0 * log_plus(1.0 / (2.0 * q.t)))
         + (4.0 / math.pi) * q.b2 / q.t
         + 24.0 * q.t / (math.pi * SQRT_2PI)
     )
@@ -210,9 +209,9 @@ class BoundInputs:
     r4: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("r1", "r1_tilde", "r2", "r3", "r3_tilde", "r4"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise InputError(f"{f.name} must be >= 0")
 
 
 def theorem2_bound(inputs: BoundInputs, form: str) -> float:
@@ -227,7 +226,7 @@ def theorem2_bound(inputs: BoundInputs, form: str) -> float:
             raise InputError("need r1_tilde >= r1")
         if q.r1_tilde <= 0:
             raise InputError("need r1_tilde > 0")
-        log_term = max(math.log(1.0 / (2.0 * q.r1_tilde)), 0.0)
+        log_term = log_plus(1.0 / (2.0 * q.r1_tilde))
         return 0.38 * q.r1 + 3.05 * q.r1_tilde + 0.64 * q.r2 * (1.0 + 2.0 * log_term)
     if form == "extended":
         if q.r3_tilde < q.r3:
@@ -322,12 +321,11 @@ def proxy_exact(n: int, p: float) -> ProxyReport:
     the display formula, which is only order-correct and is reported
     separately for comparison.
     """
-    _check_np(n, p)
+    mom = exact_moments(n, p)
     if n < 4:
         raise InputError("proxy moments need n >= 4")
     c3 = math.comb(n, 3)
-    var_x = p**3 * (1.0 - p**3)
-    cov2 = p**5 * (1.0 - p)
+    var_x, cov2 = mom.var_x, mom.cov_overlap2
     ordered_pairs = sum(j * (n - 1 - j) * (n - 2 - j) for j in range(1, n - 1))
     var_y = c3 * var_x + ordered_pairs * cov2
     var_display = c3 * (var_x + (n - 3) * cov2)
@@ -345,7 +343,7 @@ def proxy_exact(n: int, p: float) -> ProxyReport:
     return ProxyReport(
         n=n,
         p=p,
-        mean_y=c3 * p**3,
+        mean_y=mom.mean_t,
         var_y=var_y,
         var_y_display=var_display,
         gamma=gamma,

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coupling import COMPONENTS, T_COMPONENTS, inner_terms, term_tables
+from .coupling import COMPONENTS, FAMILIES, T_POWERS, compose, inner_terms, term_tables
 from .errors import CapacityError, InputError
 from .graphs import Graph, TripleBasis, num_edges, num_triples, triple_basis
 from .moments import exact_moments, kolmogorov_distance
@@ -252,7 +252,7 @@ def _per_graph_terms(
     size = arr.masks.size
     out = {
         name: np.empty((size, len(t_grid)), dtype=np.complex128)
-        if name in T_COMPONENTS
+        if name in T_POWERS
         else np.empty(size)
         for name in terms
     }
@@ -425,7 +425,7 @@ class RTermsExact:
     r41_by_t: dict         # t -> raw variance of the graph-conditional mean
     r42_by_t: dict
     r43_by_t: dict
-    r4: float              # sup-combined per the extended bound recipe
+    r4: float              # sum of the sups of sqrt(r4k)/|t|^power (coupling.FAMILIES)
 
 
 def _weighted_cvar(w: np.ndarray, z: np.ndarray) -> float:
@@ -443,36 +443,29 @@ def exact_r_terms(n: int, p: float, t_grid: Sequence[float]) -> RTermsExact:
     _check_capacity(n, limit=6)
     w = graph_weights(n, p, oracle_arrays(n).popcount)
     g = _per_graph_terms(n, p, t_grid, COMPONENTS)
-
-    r1 = fsum_array(w * g["r1"])
-    r32 = fsum_array(w * g["r32"])
-    r33 = fsum_array(w * g["r33"])
-    r3 = 0.5 * r1 + r32 + r33
-
-    r2_by_t, r41_by_t, r42_by_t, r43_by_t = {}, {}, {}, {}
-    for k, t in enumerate(t_grid):
-        r2_by_t[t] = math.sqrt(_weighted_cvar(w, g["r2"][:, k])) / abs(t)
-        r41_by_t[t] = _weighted_cvar(w, g["r41"][:, k])
-        r42_by_t[t] = _weighted_cvar(w, g["r42"][:, k])
-        r43_by_t[t] = _weighted_cvar(w, g["r43"][:, k])
-
-    r4 = (
-        max(math.sqrt(r41_by_t[t]) / t**2 for t in t_grid)
-        + max(math.sqrt(r42_by_t[t]) / abs(t) for t in t_grid)
-        + max(math.sqrt(r43_by_t[t]) / abs(t) for t in t_grid)
-    )
+    means = {c: fsum_array(w * g[c]) for c in COMPONENTS if c not in T_POWERS}
+    var_by_t = {
+        c: {t: _weighted_cvar(w, g[c][:, k]) for k, t in enumerate(t_grid)} for c in T_POWERS
+    }
+    sd_by_t = {
+        c: {t: math.sqrt(v) / abs(t) ** power for t, v in var_by_t[c].items()}
+        for c, power in T_POWERS.items()
+    }
+    parts = {c: (v, 0.0) for c, v in means.items()}
+    parts.update((c, (max(sd.values()), 0.0)) for c, sd in sd_by_t.items())
+    value = {name: compose(name, parts)[0] for name in FAMILIES}
     return RTermsExact(
         n=n,
         p=p,
-        r1=r1,
-        r2_by_t=r2_by_t,
-        r2=max(r2_by_t.values()),
-        r31=r1,
-        r32=r32,
-        r33=r33,
-        r3=r3,
-        r41_by_t=r41_by_t,
-        r42_by_t=r42_by_t,
-        r43_by_t=r43_by_t,
-        r4=r4,
+        r1=value["r1"],
+        r2_by_t=sd_by_t["r2"],
+        r2=value["r2"],
+        r31=means["r1"],
+        r32=means["r32"],
+        r33=means["r33"],
+        r3=value["r3"],
+        r41_by_t=var_by_t["r41"],
+        r42_by_t=var_by_t["r42"],
+        r43_by_t=var_by_t["r43"],
+        r4=value["r4"],
     )

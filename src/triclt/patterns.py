@@ -9,19 +9,17 @@ family is selected by the overlap structure:
     L12:  |v & v'| = 0 and |(v + w) & (v' + w')| = 1
     L9:   everything else
 
-with bound families (C = 1 convention, prefactor ||f'|| ||g'||):
+with bound families (C = 1 convention, prefactor ||f'|| ||g'||)
 
-    L9:        min{n^2 (1-p), p^m + n p^{m+2} + n^2 p^{m+4}}
-    L10, L12:  min{n (1-p),   p^{m+1} + n p^{m+3}}
-    L11:       min{1-p,       p^{m+3}}
+    min{n^a (1-p), sum_{i <= a} n^i p^{m + offset + 2i}}
 
-where m is the number of distinct edges induced by the four triples.  The
-"small-p leading exponent" of a class is therefore m plus an offset of
-0 / 1 / 3 for L9 / L10,L12 / L11.
+where m is the number of distinct edges induced by the four triples and
+`LEMMA_FAMILY` gives (a, offset) per tag: (2, 0) for L9, (1, 1) for L10 and
+L12, (0, 3) for L11.  The "small-p leading exponent" of a class is m + offset.
 
 Isomorphism classes are computed over all relabelings; the canonical search
 is pruned by vertex role signatures (which isomorphisms must preserve), so
-the worst case stays tiny on the <= 9 vertex universe used here.
+the worst case stays tiny on the <= 8 vertex universe of an anchor.
 """
 
 from __future__ import annotations
@@ -59,7 +57,13 @@ ANCHORS: dict[str, tuple[TripleId, TripleId]] = {
 for _k in ("r421", "r422", "r423", "r424"):
     ANCHORS[_k] = ANCHORS["r41" + _k[-1]]
 
-LEMMA_OFFSET = {"L9": 0, "L10": 1, "L11": 3, "L12": 1}
+# lemma tag -> (a, offset) of its bound family (module docstring)
+LEMMA_FAMILY = {"L9": (2, 0), "L10": (1, 1), "L11": (0, 3), "L12": (1, 1)}
+
+
+def _n_power(i: int) -> str:
+    """The factor n^i of a bound string, with its trailing space."""
+    return ("", "n ")[i] if i < 2 else f"n^{i} "
 
 
 @dataclass(frozen=True)
@@ -94,23 +98,20 @@ class PatternClass:
     multiplicity_order: int
     lemma_tag: str
     representative: PatternConfig
-    small_p_exponent: int
-    occurrences: int = 1
+
+    @property
+    def small_p_exponent(self) -> int:
+        return self.m + LEMMA_FAMILY[self.lemma_tag][1]
 
     @property
     def bound_small_p(self) -> str:
-        e = self.small_p_exponent
-        if self.lemma_tag == "L11":
-            return f"p^{e}"
-        if self.lemma_tag in ("L10", "L12"):
-            return f"p^{e} + n p^{e + 2}"
-        return f"p^{e} + n p^{e + 2} + n^2 p^{e + 4}"
+        a, e = LEMMA_FAMILY[self.lemma_tag][0], self.small_p_exponent
+        return " + ".join(f"{_n_power(i)}p^{e + 2 * i}" for i in range(a + 1))
 
     @property
     def bound_large_p(self) -> str:
-        return {"L9": "n^2 (1-p)", "L10": "n (1-p)", "L12": "n (1-p)", "L11": "1-p"}[
-            self.lemma_tag
-        ]
+        a = LEMMA_FAMILY[self.lemma_tag][0]
+        return f"{_n_power(a)}(1-p)" if a else "1-p"
 
 
 def _lemma_tag(cfg: PatternConfig) -> str:
@@ -188,16 +189,13 @@ def canonical_form(cfg: PatternConfig) -> tuple:
 def classify_pattern(cfg: PatternConfig) -> PatternClass:
     """Lemma tag, edge-union exponent m, and the generic-vertex multiplicity
     order n^k (vertices of w, w' outside the anchor pair v, v')."""
-    m = edge_union_size(cfg.triples())
     generic = (set(cfg.w) | set(cfg.wp)) - (set(cfg.v) | set(cfg.vp))
-    tag = _lemma_tag(cfg)
     return PatternClass(
         canonical=canonical_form(cfg),
-        m=m,
+        m=edge_union_size(cfg.triples()),
         multiplicity_order=len(generic),
-        lemma_tag=tag,
+        lemma_tag=_lemma_tag(cfg),
         representative=cfg,
-        small_p_exponent=m + LEMMA_OFFSET[tag],
     )
 
 
@@ -207,46 +205,19 @@ def enumerate_classes(anchor: str) -> list[PatternClass]:
     if anchor not in ANCHORS:
         raise InputError(f"unknown anchor {anchor!r}; choose from {sorted(ANCHORS)}")
     v, vp = ANCHORS[anchor]
-    base_verts = set(v) | set(vp)
-    universe = sorted(base_verts) + [max(base_verts) + 1, max(base_verts) + 2]
-    if len(universe) > MAX_PATTERN_VERTICES:
-        raise CapacityError("anchor universe exceeds the 9-vertex ceiling")
-    n_univ = max(universe) + 1
-
-    def completions(base: TripleId) -> list[TripleId]:
-        out = []
-        for u in all_triples(n_univ):
-            if set(u) <= set(universe) and len(set(u) & set(base)) >= 2:
-                out.append(u)
-        return out
-
+    # the anchors' labels are 0..max, so the two spare vertices come next
+    n_univ = max(v + vp) + 3
+    completions = {
+        base: [u for u in all_triples(n_univ) if len(set(u) & set(base)) >= 2]
+        for base in (v, vp)
+    }
     groups: dict[tuple, PatternClass] = {}
-    counts: dict[tuple, int] = {}
-    for w in completions(v):
-        for wp in completions(vp):
-            cfg = PatternConfig(v=v, w=w, vp=vp, wp=wp)
-            cls = classify_pattern(cfg)
-            if cls.canonical not in groups:
-                groups[cls.canonical] = cls
-                counts[cls.canonical] = 0
-            counts[cls.canonical] += 1
-
-    out = []
-    for key in sorted(groups):
-        cls = groups[key]
-        out.append(
-            PatternClass(
-                canonical=cls.canonical,
-                m=cls.m,
-                multiplicity_order=cls.multiplicity_order,
-                lemma_tag=cls.lemma_tag,
-                representative=cls.representative,
-                small_p_exponent=cls.small_p_exponent,
-                occurrences=counts[key],
-            )
-        )
-    out.sort(key=lambda c: (c.small_p_exponent, c.lemma_tag, c.canonical))
-    return out
+    for w in completions[v]:
+        for wp in completions[vp]:
+            cls = classify_pattern(PatternConfig(v=v, w=w, vp=vp, wp=wp))
+            # the first class found stays the representative
+            groups.setdefault(cls.canonical, cls)
+    return sorted(groups.values(), key=lambda c: (c.small_p_exponent, c.lemma_tag, c.canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +288,12 @@ def moment_bound_check(
 
 
 def lemma_bound_family(tag: str, n: int, p: float, m: int) -> float:
-    if tag == "L9":
-        return min(n * n * (1 - p), p**m + n * p ** (m + 2) + n * n * p ** (m + 4))
-    if tag in ("L10", "L12"):
-        return min(n * (1 - p), p ** (m + 1) + n * p ** (m + 3))
-    if tag == "L11":
-        return min(1 - p, p ** (m + 3))
-    raise InputError(f"unknown lemma tag {tag!r}")
+    """min{n^a (1-p), sum_{i <= a} n^i p^{m + offset + 2i}} for the tag's
+    (a, offset) in LEMMA_FAMILY."""
+    if tag not in LEMMA_FAMILY:
+        raise InputError(f"unknown lemma tag {tag!r}")
+    a, offset = LEMMA_FAMILY[tag]
+    return min(n**a * (1 - p), sum(n**i * p ** (m + offset + 2 * i) for i in range(a + 1)))
 
 
 @dataclass(frozen=True)

@@ -381,10 +381,12 @@ def test_main_exit_codes(tmp_path):
     assert main(["sample-dk", "--n", "16", "--p", "power:1.0,0.6"]) == 2  # np < 4
     ok = tmp_path / "ok.jsonl"
     assert main(["moments", "--n", "4", "--p", "fixed:0.5", "--out", str(ok)]) == 0
-    # config files: a misspelled or unknown key and a bad choice are config
-    # errors before any work, as is a missing --config or --input file
+    # config files: a misspelled, unknown or abbreviated key, a bad choice
+    # and `false` for a key that is not a switch are config errors before
+    # any work, as is a missing --config or --input file
     for name, line in (("typo", "sampels = 5000"), ("unknown", "foo = 1"),
-                       ("choice", "form = banana")):
+                       ("choice", "form = banana"), ("prefix", "sample = 5000"),
+                       ("abbrev", "sam = 5"), ("false", "seed = false")):
         conf = tmp_path / f"{name}.conf"
         conf.write_text(f"n = 4\np = fixed:0.5\n{line}\n")
         assert main(["moments", "--config", str(conf), "--out", str(ok)]) == 2

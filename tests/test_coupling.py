@@ -9,7 +9,7 @@ from triclt.coupling import (
     COMPONENTS,
     DEFAULT_T_GRID,
     RTermEstimate,
-    T_COMPONENTS,
+    T_POWERS,
     assemble_bound,
     estimate_r,
     inner_terms,
@@ -28,7 +28,7 @@ from triclt.graphs import (
     num_triples,
     triple_basis,
 )
-from triclt.moments import exact_moments
+from triclt.moments import exact_moments, regime_rates
 from triclt.oracle import exact_r_terms
 from triclt.sampler import SamplerConfig, gnp_edge_bits, sample_gnp
 
@@ -142,7 +142,7 @@ def test_graph_conditional_matches_scalar_recomputation():
         for row, g in enumerate(graphs):
             direct = _scalar_components(g, p, ts)
             for name in COMPONENTS:
-                want = direct[name] if name in T_COMPONENTS else direct[name][0].real
+                want = direct[name] if name in T_POWERS else direct[name][0].real
                 assert np.max(np.abs(got[name][row] - want)) <= 1e-12, (n, row, name)
 
 
@@ -304,8 +304,11 @@ def test_assemble_validation():
 
 
 def test_r3_theoretical_regimes():
-    # dense / middle / sparse shapes against a direct evaluation
-    for n, p in ((20, 0.8), (20, 0.3), (100, 0.05)):
+    # dense / middle / sparse shapes against a direct evaluation; p = 1/2 and
+    # p = n^-1/2 lie on the boundaries and belong to the middle and sparse regimes
+    assert regime_rates(20, 0.5).regime == "middle"
+    assert regime_rates(100, 0.1).regime == "sparse"
+    for n, p in ((20, 0.8), (20, 0.3), (100, 0.05), (20, 0.5), (100, 0.1)):
         sig3 = exact_moments(n, p).sigma ** 3
         if p > 0.5:
             expect = n**5 * (1 - p) / sig3

@@ -337,6 +337,14 @@ def test_r3_composition():
     rt = exact_r_terms(5, 0.3, [1.0])
     assert rt.r3 == pytest.approx(0.5 * rt.r31 + rt.r32 + rt.r33, rel=1e-14)
     assert rt.r31 == rt.r1
+    # r4: the sups over the grid of sqrt(r41)/t^2, sqrt(r42)/|t| and sqrt(r43)/|t|
+    ts = [0.5, 1.0, 2.0]
+    rt = exact_r_terms(5, 0.3, ts)
+    assert rt.r4 == (
+        max(math.sqrt(rt.r41_by_t[t]) / t**2 for t in ts)
+        + max(math.sqrt(rt.r42_by_t[t]) / abs(t) for t in ts)
+        + max(math.sqrt(rt.r43_by_t[t]) / abs(t) for t in ts)
+    )
 
 
 def test_r33_uses_covariance_constants():

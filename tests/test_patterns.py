@@ -319,3 +319,22 @@ def test_lemma_bound_family_shapes():
     assert lemma_bound_family("L11", 10, 0.1, 3) == pytest.approx(0.1**6)
     with pytest.raises(InputError):
         lemma_bound_family("L13", 10, 0.1, 3)
+    # one class of each tag (L10 occurs only in r413, L11 and L12 only in
+    # r414): m, the small-p exponent, the strings written to records and the
+    # CSV, and the family at n = 10 on the small-p and the large-p side
+    pins = (
+        ("r411", "L9", 3, 3, "p^3 + n p^5 + n^2 p^7", "n^2 (1-p)",
+         0.07316999999999999, 9.999999999999998),
+        ("r413", "L10", 6, 7, "p^7 + n p^9", "n (1-p)",
+         0.0004155299999999999, 0.9999999999999998),
+        ("r414", "L11", 6, 9, "p^9", "1-p",
+         1.9682999999999994e-05, 0.09999999999999998),
+        ("r414", "L12", 8, 9, "p^9 + n p^11", "n (1-p)",
+         3.739769999999999e-05, 0.9999999999999998),
+    )
+    for anchor, tag, m, exponent, small_p, large_p, at_03, at_09 in pins:
+        cls = next(c for c in enumerate_classes(anchor) if c.lemma_tag == tag)
+        assert (cls.m, cls.small_p_exponent) == (m, exponent)
+        assert (cls.bound_small_p, cls.bound_large_p) == (small_p, large_p)
+        assert lemma_bound_family(tag, 10, 0.3, m) == at_03
+        assert lemma_bound_family(tag, 10, 0.9, m) == at_09
