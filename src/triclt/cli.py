@@ -179,10 +179,6 @@ class ExperimentConfig:
         return p
 
 
-def _canonical_payload(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     config: dict
@@ -199,18 +195,11 @@ class ResultRecord:
     timing: dict = field(default_factory=dict, compare=False)
 
     def content_hash(self) -> str:
-        payload = {
-            "config": self.config,
-            "quantity": self.quantity,
-            "n": self.n,
-            "p": self.p,
-            "value": self.value,
-            "std_error": self.std_error,
-            "regime": self.regime,
-            "extra": self.extra,
-            "tool_version": self.tool_version,
-        }
-        return hashlib.sha256(_canonical_payload(payload).encode()).hexdigest()
+        """sha256 over every field but the timestamp and the timing."""
+        payload = dataclasses.asdict(self)
+        del payload["timestamp"], payload["timing"]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def to_json(self) -> str:
         body = dataclasses.asdict(self)
@@ -473,15 +462,17 @@ def _run_rate_fit(cfg: ExperimentConfig) -> list[ResultRecord]:
         raise ConfigError("rate-fit needs --input pointing at a records file")
     points = []
     configs = []
-    for line in _read_text(cfg.input_path).splitlines():
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(_read_text(cfg.input_path).splitlines(), 1):
+        if not line.strip():
             continue
-        body = json.loads(line)
-        if body.get("quantity") == cfg.quantity and body.get("value") is not None:
-            points.append((float(body["n"]), float(body["value"])))
-            config = body.get("config", {})
-            configs.append({k: v for k, v in config.items() if k != "n_list"})
+        try:
+            body = json.loads(line)
+            if body.get("quantity") == cfg.quantity and body.get("value") is not None:
+                points.append((float(body["n"]), float(body["value"])))
+                config = body.get("config", {})
+                configs.append({k: v for k, v in config.items() if k != "n_list"})
+        except (ValueError, TypeError, AttributeError, KeyError) as exc:
+            raise ConfigError(f"{cfg.input_path} line {lineno}: bad record: {exc}") from exc
     if len(points) < 3:
         raise ConfigError(
             f"found {len(points)} usable records for quantity {cfg.quantity!r}"

@@ -25,7 +25,8 @@ and t.  Estimators:
 `estimate_r` draws each graph once for all the families it is asked for,
 over the same counter-based streams as `cli.sample_w`, and also returns the
 graphs' W, so a coupling record's r-terms and empirical d_K come from the
-same graphs.  Standard errors come from 16 contiguous batch means.
+same graphs.  Each standard error is the batch SE of the statistic's own
+values on 16 contiguous batches, so a family and a sup over t have their own.
 Everything is a pure function of (seed, streams, config).
 """
 
@@ -96,13 +97,19 @@ FAMILIES = {
 BLOCK = 1 << 18
 
 
-def compose(family: str, parts: dict) -> tuple[float, float]:
-    """Value and standard error of an r-term family from its components'
-    (value, SE) pairs, a per-t component's taken at its sup over the grid:
-    the FAMILIES-weighted sum, with SE sqrt(sum weight^2 SE^2)."""
-    weights = FAMILIES[family].items()
-    value = sum(wt * parts[c][0] for c, wt in weights)
-    return value, math.sqrt(sum(wt**2 * parts[c][1] ** 2 for c, wt in weights))
+def compose(family: str, parts: dict):
+    """The FAMILIES-weighted sum of a family's component values, a per-t
+    component (last axis over the t-grid) entering by its max over the grid.
+    Values may carry a leading batch axis: then so does the sum."""
+    return sum(
+        wt * (np.max(parts[c], axis=-1) if c in T_POWERS else parts[c])
+        for c, wt in FAMILIES[family].items()
+    )
+
+
+def batch_se(values) -> np.ndarray:
+    """Standard error of the mean of per-batch values (leading axis)."""
+    return np.std(values, axis=0, ddof=1) / math.sqrt(len(values))
 
 
 def _class_histogram(cls: np.ndarray, k: np.ndarray, n_cls: int, size: int) -> np.ndarray:
@@ -270,24 +277,20 @@ class _BatchMoments:
                 self.sum[b] += values[lo:hi].sum(axis=0)
                 self.sumsq[b] += (np.abs(values[lo:hi]) ** 2).sum(axis=0)
 
-    def mean(self) -> tuple[float, float]:
-        """Mean of a real statistic and the SE of its batch means."""
-        means = self.sum.real / np.diff(self.edges)
-        value = self.sum.real.sum() / self.edges[-1]
-        return value, np.std(means, ddof=1) / math.sqrt(len(means))
+    def mean(self) -> tuple[float, np.ndarray]:
+        """Mean of a real statistic, and its per-batch means."""
+        return self.sum.real.sum() / self.edges[-1], self.sum.real / np.diff(self.edges)
 
     def sd(self, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sqrt(Var across graphs)/scale per t, and the SE of the same
-        statistic over the batches."""
+        """sqrt(Var across graphs)/scale per t, and the same statistic per
+        batch (leading axis)."""
         counts = np.diff(self.edges)[:, None]
         mean = self.sum.sum(axis=0) / self.edges[-1]
         var = np.maximum(self.sumsq.sum(axis=0) / self.edges[-1] - np.abs(mean) ** 2, 0.0)
         batch_var = np.maximum(
             self.sumsq / counts - np.abs(self.sum / counts) ** 2, 0.0
         )
-        batch_vals = np.sqrt(batch_var) / scale
-        se = np.std(batch_vals, axis=0, ddof=1) / math.sqrt(len(counts))
-        return np.sqrt(var) / scale, se
+        return np.sqrt(var) / scale, np.sqrt(batch_var) / scale
 
 
 def estimate_r(
@@ -338,20 +341,28 @@ def estimate_r(
     def est(value, se, t=None) -> RTermEstimate:
         return RTermEstimate(value=float(value), std_error=float(se), samples=samples, t=t)
 
+    # each component's full-sample and per-batch values: every SE is the
+    # batch SE of the per-batch values of the statistic it belongs to
     out: dict = {"w": w}
-    parts = {c: est(*accs[c].mean()) for c in terms - set(T_POWERS)}
+    full, batches, parts = {}, {}, {}
+    for c in terms - set(T_POWERS):
+        full[c], batches[c] = accs[c].mean()
+        parts[c] = est(full[c], batch_se(batches[c]))
     for c, power in T_POWERS.items():
         if c in terms:
-            values, ses = accs[c].sd(np.abs(t_grid) ** power)
-            out[f"{c}_by_t"] = [est(v, se, t) for v, se, t in zip(values, ses, t_grid)]
-            parts[c] = out[c] = max(out[f"{c}_by_t"], key=lambda e: e.value)
+            full[c], batches[c] = accs[c].sd(np.abs(t_grid) ** power)
+            ses = batch_se(batches[c])
+            out[f"{c}_by_t"] = [est(v, se, t) for v, se, t in zip(full[c], ses, t_grid)]
+            # the sup over t, with the SE of the per-batch sups
+            k = int(np.argmax(full[c]))
+            parts[c] = out[c] = est(full[c][k], batch_se(batches[c].max(axis=-1)), t_grid[k])
     for name, weights in FAMILIES.items():
         if name in names and len(weights) == 1:
             out[name] = parts[name]  # a bare family keeps its component's t
         elif name in names:
             # r3's r1 component is reported under its paper name, r31
             out.update(("r31" if c == "r1" else c, parts[c]) for c in weights)
-            out[name] = est(*compose(name, {c: (e.value, e.std_error) for c, e in parts.items()}))
+            out[name] = est(compose(name, full), batch_se(compose(name, batches)))
     return out
 
 # ---------------------------------------------------------------------------

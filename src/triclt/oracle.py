@@ -53,14 +53,12 @@ import numpy as np
 
 from .coupling import COMPONENTS, FAMILIES, T_POWERS, compose, inner_terms, term_tables
 from .errors import CapacityError, InputError
-from .graphs import Graph, TripleBasis, num_edges, num_triples, triple_basis
+from .graphs import Graph, num_edges, num_triples, triple_basis
 from .moments import exact_moments, kolmogorov_distance
 
 MAX_ORACLE_N = 7
 GRAPH_CHUNK = 4096  # graphs per inner_terms call
 FSUM_SLICE = 1 << 16  # values per list handed to math.fsum
-# keeps a float64's sign, exponent and top 26 of its 52 stored mantissa bits
-_HI_MASK = np.uint64((1 << 64) - (1 << 26))
 
 _FUNCTION_FAMILY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "1": lambda x: np.ones_like(x, dtype=np.complex128),
@@ -107,13 +105,10 @@ def _check_capacity(n: int, limit: int = MAX_ORACLE_N) -> None:
 
 @dataclass(frozen=True)
 class OracleArrays:
-    """Per-n enumeration tables: all edge masks and triangle indicators."""
+    """Edge counts and triangle bits of the graphs g = 0..2^E - 1 (bit r: edge r)."""
 
-    n: int
-    masks: np.ndarray     # (G,) uint32, G = 2^{n(n-1)/2}
-    popcount: np.ndarray  # (G,) uint8
+    popcount: np.ndarray  # (G,) uint8, G = 2^{n(n-1)/2}
     tri_bits: np.ndarray  # (G, n_tri) uint8
-    basis: TripleBasis
 
 
 @lru_cache(maxsize=2)
@@ -128,7 +123,7 @@ def oracle_arrays(n: int) -> OracleArrays:
     for k in range(tb.n_triples):
         want = np.uint32((1 << r[k, 0]) | (1 << r[k, 1]) | (1 << r[k, 2]))
         tri[:, k] = (masks & want) == want
-    return OracleArrays(n=n, masks=masks, popcount=pop, tri_bits=tri, basis=tb)
+    return OracleArrays(popcount=pop, tri_bits=tri)
 
 
 def graph_weights(n: int, p: float, popcount: np.ndarray) -> np.ndarray:
@@ -150,8 +145,8 @@ def class_counts(n: int) -> np.ndarray:
     triple 0 alone and scaled by C(n,3); see the module docstring.
     """
     _check_capacity(n)
+    tb = triple_basis(n)
     arr = oracle_arrays(n)
-    tb = arr.basis
     tri = arr.tri_bits
     t_all = tri.sum(axis=1, dtype=np.intp)
     k_0 = tri[:, tb.pair_w[tb.pair_v == 0]].sum(axis=1, dtype=np.intp)
@@ -167,15 +162,16 @@ def _prob_t(n: int, w: np.ndarray) -> np.ndarray:
     """P(T = t) for t = 0..C(n,3), given the weight w[k] of a graph with k
     edges: each the exactly rounded sum of its graphs' weights.
 
-    N[k, t] graphs have k edges and t triangles.  Each w[k] splits into its
-    top 27 significant bits and the rest; with N < 2^26 (at most 2^21 graphs
-    at n <= 7) both products with N are exact, so one math.fsum over them
-    rounds the exact sum once, as summing w[k] once per graph would.
+    N[k, t] graphs have k edges and t triangles.  Each w[k] is exactly
+    num_k / 2^e_k, so with 2^e the largest denominator the sum over graphs
+    is the integer sum_k N[k, t] num_k 2^(e - e_k) over 2^e, and Python's
+    int division rounds it once, as math.fsum over the graphs' weights does.
     """
     graphs_kt = class_counts(n).sum(axis=(2, 3)) // num_triples(n)
-    hi = (w.view(np.uint64) & _HI_MASK).view(np.float64)
-    parts = np.concatenate([hi[:, None] * graphs_kt, (w - hi)[:, None] * graphs_kt])
-    return np.array([math.fsum(col) for col in parts.T.tolist()])
+    ratios = [wk.as_integer_ratio() for wk in w.tolist()]
+    den = max(d for _, d in ratios)
+    nums = [num * (den // d) for num, d in ratios]
+    return np.array([sum(c * m for c, m in zip(col, nums)) / den for col in graphs_kt.T.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +224,11 @@ def exact_expectation(
 ) -> complex:
     """Exact E[h(G)] for an arbitrary graph functional (slow generic path;
     the structured routines below are vectorised)."""
-    arr = oracle_arrays(n)
-    w = graph_weights(n, p, arr.popcount)
+    w = graph_weights(n, p, oracle_arrays(n).popcount)
     vals = np.fromiter(
-        (complex(functional(Graph(n, int(m)))) for m in arr.masks),
+        (complex(functional(Graph(n, m))) for m in range(w.size)),
         dtype=np.complex128,
-        count=arr.masks.size,
+        count=w.size,
     )
     return fsum_complex(w * vals)
 
@@ -249,7 +244,8 @@ def _per_graph_terms(
     """coupling.inner_terms for every enumerated graph, in enumeration order,
     computed over chunks of GRAPH_CHUNK graphs."""
     arr = oracle_arrays(n)
-    size = arr.masks.size
+    tb = triple_basis(n)
+    size = arr.popcount.size
     out = {
         name: np.empty((size, len(t_grid)), dtype=np.complex128)
         if name in T_POWERS
@@ -257,7 +253,7 @@ def _per_graph_terms(
         for name in terms
     }
     for lo in range(0, size, GRAPH_CHUNK):
-        x = arr.basis.x_matrix(arr.tri_bits[lo : lo + GRAPH_CHUNK], p)
+        x = tb.x_matrix(arr.tri_bits[lo : lo + GRAPH_CHUNK], p)
         for name, values in inner_terms(x, n, p, t_grid, terms).items():
             out[name][lo : lo + len(x)] = values
     return out
@@ -345,7 +341,7 @@ def verify_couplings(
     """
     _check_capacity(n, limit=6)
     arr = oracle_arrays(n)
-    tb = arr.basis
+    tb = triple_basis(n)
     mom = exact_moments(n, p)
     sigma = mom.sigma
     c3, kappa = tb.n_triples, tb.nu_size
@@ -451,9 +447,8 @@ def exact_r_terms(n: int, p: float, t_grid: Sequence[float]) -> RTermsExact:
         c: {t: math.sqrt(v) / abs(t) ** power for t, v in var_by_t[c].items()}
         for c, power in T_POWERS.items()
     }
-    parts = {c: (v, 0.0) for c, v in means.items()}
-    parts.update((c, (max(sd.values()), 0.0)) for c, sd in sd_by_t.items())
-    value = {name: compose(name, parts)[0] for name in FAMILIES}
+    parts = {**means, **{c: list(sd.values()) for c, sd in sd_by_t.items()}}
+    value = {name: float(compose(name, parts)) for name in FAMILIES}
     return RTermsExact(
         n=n,
         p=p,

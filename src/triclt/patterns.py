@@ -25,15 +25,14 @@ the worst case stays tiny on the <= 8 vertex universe of an anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Sequence
+from itertools import chain, permutations, product
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError
 from .graphs import (
     TripleId,
-    all_triples,
     edge_union_size,
     neighborhood,
     triple_basis,
@@ -41,7 +40,7 @@ from .graphs import (
     triple_rank,
 )
 from .moments import exact_moments
-from .coupling import BLOCK, batch_edges, phi_kernel, psi_kernel
+from .coupling import BLOCK, batch_edges, batch_se, phi_kernel, psi_kernel
 from .sampler import gnp_edge_bits, stream_chunks
 from . import oracle as _oracle
 
@@ -154,36 +153,17 @@ def canonical_form(cfg: PatternConfig) -> tuple:
     """Minimum structure key over all signature-respecting relabelings.
 
     Any isomorphism preserves vertex signatures, so restricting candidate
-    bijections to map signature classes onto each other is lossless.
+    bijections to map signature classes onto each other is lossless: each
+    class, in signature order, takes the next block of labels in every order.
     """
-    sig = _signatures(cfg)
     classes: dict[tuple, list[int]] = {}
-    for x, s in sig.items():
+    for x, s in _signatures(cfg).items():
         classes.setdefault(s, []).append(x)
-    ordered = sorted(classes.items())
-    # target labels: consecutive blocks per signature class (sorted order)
-    blocks = []
-    startlab = 0
-    for _, members in ordered:
-        blocks.append((sorted(members), list(range(startlab, startlab + len(members)))))
-        startlab += len(members)
-
-    best: Optional[tuple] = None
-    stack = [({}, 0)]
-    while stack:
-        relabel, depth = stack.pop()
-        if depth == len(blocks):
-            key = _pattern_key(cfg, relabel)
-            if best is None or key < best:
-                best = key
-            continue
-        members, labels = blocks[depth]
-        for perm in permutations(labels):
-            nxt = dict(relabel)
-            nxt.update(zip(members, perm))
-            stack.append((nxt, depth + 1))
-    assert best is not None
-    return best
+    blocks = [members for _, members in sorted(classes.items())]
+    return min(
+        _pattern_key(cfg, {x: lab for lab, x in enumerate(chain.from_iterable(order))})
+        for order in product(*map(permutations, blocks))
+    )
 
 
 def classify_pattern(cfg: PatternConfig) -> PatternClass:
@@ -207,10 +187,7 @@ def enumerate_classes(anchor: str) -> list[PatternClass]:
     v, vp = ANCHORS[anchor]
     # the anchors' labels are 0..max, so the two spare vertices come next
     n_univ = max(v + vp) + 3
-    completions = {
-        base: [u for u in all_triples(n_univ) if len(set(u) & set(base)) >= 2]
-        for base in (v, vp)
-    }
+    completions = {base: sorted(neighborhood(base, n_univ), key=triple_rank) for base in (v, vp)}
     groups: dict[tuple, PatternClass] = {}
     for w in completions[v]:
         for wp in completions[vp]:
@@ -391,7 +368,7 @@ def pattern_cov_check(
             covs.append(np.mean(da * np.conj(db)))
         # |mean| of the batch covariances, with the SE of that complex mean
         cov_abs = float(abs(np.mean(covs)))
-        se = float(np.sqrt(np.var(covs, ddof=1) / len(covs)))
+        se = float(batch_se(covs))
         nsamp = samples
     else:
         raise InputError(f"unknown mode {mode!r}")

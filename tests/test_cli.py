@@ -392,6 +392,13 @@ def test_main_exit_codes(tmp_path):
         assert main(["moments", "--config", str(conf), "--out", str(ok)]) == 2
     assert main(["moments", "--config", str(tmp_path / "missing.conf")]) == 2
     assert main(["rate-fit", "--input", str(tmp_path / "missing.jsonl")]) == 2
+    # an input line that is not JSON, a record without an n, or not a record
+    for name, line in (("text", "not json"),
+                       ("null_n", '{"quantity": "empirical_dk", "n": null, "value": 0.1}'),
+                       ("list", "[1,2]")):
+        records = tmp_path / f"{name}.jsonl"
+        records.write_text(line + "\n")
+        assert main(["rate-fit", "--input", str(records)]) == 2
 
 
 def test_patterns_cov_check_takes_one_n_up_to_7(tmp_path):

@@ -11,6 +11,7 @@ from triclt.coupling import (
     RTermEstimate,
     T_POWERS,
     assemble_bound,
+    batch_edges,
     estimate_r,
     inner_terms,
     phi_kernel,
@@ -241,6 +242,29 @@ def test_r4_location_invariance_of_variance():
     assert est["r4"].value == pytest.approx(
         est["r41"].value + est["r42"].value + est["r43"].value, rel=1e-12
     )
+
+
+def test_family_se_from_batch_values():
+    # a family's SE is the batch SE of its own per-batch values: the graphs
+    # are redrawn here and cut into the estimator's batches
+    n, p, m, seed, ts = 6, 0.5, 3200, 5, [0.5, 2.0]
+    est = estimate_r(n, p, m, ts, ("r3", "r4"), seed)
+    tb = triple_basis(n)
+    tri = tb.triangle_bits(gnp_edge_bits(SamplerConfig(n=n, p=p, seed=seed), 0, m))
+    g = inner_terms(tb.x_matrix(tri, p), n, p, ts, ("r1", "r32", "r33", "r41", "r42", "r43"))
+    edges = batch_edges(m)
+    batches = [{c: z[lo:hi] for c, z in g.items()} for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def sup_sd(z, c):
+        # max over t of the batch's population sd, over |t|^power
+        sd = np.sqrt(np.mean(np.abs(z - z.mean(axis=0)) ** 2, axis=0))
+        return max(sd / np.abs(ts) ** T_POWERS[c])
+
+    r3_b = [0.5 * b["r1"].mean() + b["r32"].mean() + b["r33"].mean() for b in batches]
+    r4_b = [sum(sup_sd(b[c], c) for c in ("r41", "r42", "r43")) for b in batches]
+    for name, per_batch in (("r3", r3_b), ("r4", r4_b)):
+        se = np.std(per_batch, ddof=1) / math.sqrt(len(per_batch))
+        assert est[name].std_error == pytest.approx(se, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_oracle_moments_match_closed_form(n, p):
 
 
 @pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("p", [0.3, 0.7, 1e-3])
+@pytest.mark.parametrize("p", [0.3, 0.7, 1e-3, 1e-9, 0.999])
 def test_atoms_equal_per_graph_fsum(n, p):
     # each atom is the exactly rounded sum of its graphs' weights, with T
     # from the BLAS triangle count of every enumerated graph
