@@ -12,10 +12,12 @@ rate-fit   log-log slope fit over previously written records
 proxy      independent-indicator proxy model: exact moments + MC d_K
 
 Every record echoes its configuration and carries a content hash over all
-deterministic fields (timestamp and timing excluded), so identical
-(seed, config) reruns are bit-identical and hashable as such.  Monte Carlo
-d_K records (sample-dk, proxy) carry a ``timing`` dict: seconds and
-samples/s.  Output is JSON lines; the patterns subcommand also writes a CSV
+deterministic fields (timestamp, timing and provenance excluded), so
+identical (seed, config) reruns are bit-identical and hashable as such.
+Monte Carlo d_K records (sample-dk, proxy) carry a ``timing`` dict: seconds
+and samples/s.  Every record carries a ``provenance`` dict: the Python,
+numpy, scipy and BLAS versions, the BLAS thread variables and the usable
+CPUs.  Output is JSON lines; the patterns subcommand also writes a CSV
 mirror.
 
 A ``--config`` file holds ``key = value`` lines whose keys are the full flag
@@ -34,12 +36,15 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import CapacityError, ConfigError, InputError, NumericError
@@ -108,7 +113,8 @@ def sample_w(n: int, p: float, samples: int, seed: int, streams: int = 1) -> np.
     exact moments.  Work is split across `streams` counter-based streams and
     merged in fixed stream order, so the result is independent of how the
     streams would be scheduled.  Chunks hold at most 2^22 / n^2 graphs, so
-    each float32 n x n batch of batch_triangle_counts stays within 16 MiB."""
+    the (graphs, n, n) adjacency of batch_triangle_counts stays within
+    16 MiB as float32 (dense kernel) and 4 MiB as uint8 (popcount kernel)."""
     step = max(1, (1 << 22) // (n * n))
     chunks = stream_chunks(n, p, seed, samples, streams, step)
     mom = exact_moments(n, p)
@@ -191,13 +197,15 @@ class ResultRecord:
     extra: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: float = 0.0
-    # where the run's time went; like the timestamp, outside content_hash
+    # where the run's time went and what produced it; like the timestamp,
+    # outside content_hash
     timing: dict = field(default_factory=dict, compare=False)
+    provenance: dict = field(default_factory=dict, compare=False)
 
     def content_hash(self) -> str:
-        """sha256 over every field but the timestamp and the timing."""
+        """sha256 over every field but the timestamp, timing and provenance."""
         payload = dataclasses.asdict(self)
-        del payload["timestamp"], payload["timing"]
+        del payload["timestamp"], payload["timing"], payload["provenance"]
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -214,9 +222,27 @@ class ResultRecord:
         return cls(**{k: v for k, v in body.items() if k in known})
 
 
+@lru_cache(maxsize=1)
+def _provenance() -> dict:
+    """Interpreter, library and BLAS versions, BLAS thread variables and
+    usable CPUs; read once per process, at the first record."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def _mkrecord(cfg: ExperimentConfig, quantity: str, **kw) -> ResultRecord:
     echo = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("out", "input_path")}
-    return ResultRecord(config=echo, quantity=quantity, timestamp=time.time(), **kw)
+    return ResultRecord(
+        config=echo, quantity=quantity, timestamp=time.time(), provenance=dict(_provenance()), **kw
+    )
 
 
 def _timing(samples: int, t0: float) -> dict:

@@ -350,21 +350,82 @@ def triple_basis(n: int) -> TripleBasis:
     )
 
 
+# Below this share of present edges a batch is counted over its edges (the
+# popcount kernel), above it by one sgemm per graph (the dense kernel): their
+# costs cross between 0.125 and 0.175 for n = 32..384.
+SPARSE_DENSITY = 0.125
+# The dense kernel's float32 row sums are at most C(n-1, 2), exact while
+# that is < 2^24.
+MAX_COUNT_N = 5794
+
+
 def batch_triangle_counts(edge_bits: np.ndarray, n: int) -> np.ndarray:
-    """Triangle counts for a batch of graphs given as edge-bit rows.
+    """Triangle counts, int64, for a batch of graphs given as 0/1 edge-bit
+    rows of shape (graphs, n(n-1)/2).
 
     Colex rank j(j-1)/2 + i makes the edges (i, j), i < j, of vertex j the
-    contiguous slice edge_bits[:, j(j-1)/2 : j(j-1)/2 + j], i.e. row j of the
-    strictly lower-triangular adjacency L; one slice copy per row fills L.
-    (L @ L)[j, i] counts the k with i < k < j and edges ik, kj, so
-    T = sum L .* (L @ L) counts each triangle once.  Entries of L @ L are
-    integers <= n - 2 < 2^24, so the batched float32 matmul is exact; the
-    reduction runs in float64, exact below 2^53, and casts straight to int.
+    contiguous slice edge_bits[:, j(j-1)/2 : j(j-1)/2 + j], i.e. row L_j of
+    the strictly lower-triangular adjacency L.  A triangle k < i < j is
+    counted once, at its edge (i, j), as a k in L_j & L_i.  Two exact kernels
+    return the same integers; the batch's share of present edges picks one:
+    below SPARSE_DENSITY the popcount kernel sums over the present edges,
+    above it the dense kernel runs one float32 sgemm per graph.  n is capped
+    at MAX_COUNT_N, where the dense kernel stops being exact.
     """
-    m = edge_bits.shape[0]
-    low = np.zeros((m, n, n), dtype=np.float32)
+    if n < 0 or n > MAX_COUNT_N:
+        raise InputError(f"batch_triangle_counts needs 0 <= n <= {MAX_COUNT_N}, got {n}")
+    edge_bits = np.asarray(edge_bits)
+    if edge_bits.ndim != 2 or edge_bits.shape[1] != num_edges(n):
+        raise InputError(
+            f"edge_bits must have shape (graphs, {num_edges(n)}) for n={n}, "
+            f"got {edge_bits.shape}"
+        )
+    if np.count_nonzero(edge_bits) < SPARSE_DENSITY * edge_bits.size:
+        return _popcount_counts(edge_bits, n)
+    return _dense_counts(edge_bits, n)
+
+
+def _lower(edge_bits: np.ndarray, n: int, dtype) -> np.ndarray:
+    """The (graphs, n, n) lower-triangular adjacencies L, one slice copy per
+    row."""
+    low = np.zeros((edge_bits.shape[0], n, n), dtype=dtype)
     for j in range(1, n):
         lo = j * (j - 1) // 2
         low[:, j, :j] = edge_bits[:, lo : lo + j]
-    paths = low @ low  # batched sgemm; entries count 2-paths i < k < j
-    return np.einsum("bij,bij->b", paths, low, dtype=np.float64).astype(np.int64)
+    return low
+
+
+@lru_cache(maxsize=8)
+def _edge_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every edge, i < j, in colex rank order."""
+    j = np.repeat(np.arange(n), np.arange(n))
+    return np.arange(num_edges(n)) - j * (j - 1) // 2, j
+
+
+def _popcount_counts(edge_bits: np.ndarray, n: int) -> np.ndarray:
+    """T = sum over present edges (i, j) of popcount(L_j & L_i), with each
+    L_j packed little-endian into uint64 words; all integer, exact at any n."""
+    m = edge_bits.shape[0]
+    packed = np.packbits(_lower(edge_bits, n, np.uint8), axis=-1, bitorder="little")
+    words = -(-n // 64)
+    rows = np.zeros((m, n, 8 * words), dtype=np.uint8)
+    rows[..., : packed.shape[-1]] = packed
+    rows = rows.view(np.uint64).reshape(m * n, words)
+    edges = np.flatnonzero(edge_bits.astype(bool, copy=False))
+    graph, rank = np.divmod(edges, edge_bits.shape[1])
+    ei, ej = _edge_ends(n)
+    first = rows.take(graph * n + ej[rank], axis=0)
+    common = np.bitwise_count(first & rows.take(graph * n + ei[rank], axis=0))
+    # einsum adds each edge's few words about twice as fast as .sum(axis=1)
+    per_edge = np.einsum("ew->e", common, dtype=np.int64)
+    return np.bincount(graph, per_edge, minlength=m).astype(np.int64)
+
+
+def _dense_counts(edge_bits: np.ndarray, n: int) -> np.ndarray:
+    """T = sum L .* (L @ L): (L @ L)[j, i] counts the k with i < k < j and
+    edges ik, kj.  Its entries are integers <= n - 2 and the row dots of L
+    with it are at most C(n-1, 2) < 2^24, so the batched float32 sgemm and
+    the float32 row dots are exact; the rows are summed in int64."""
+    low = _lower(edge_bits, n, np.float32)
+    paths = low @ low
+    return np.vecdot(low, paths).sum(axis=1, dtype=np.int64)

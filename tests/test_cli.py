@@ -208,17 +208,25 @@ def test_timing_stays_outside_content_hash(subcommand):
     assert set(rec.timing) == {"seconds", "samples_per_s"}
     assert rec.timing["seconds"] > 0
     assert rec.timing["samples_per_s"] == pytest.approx(3000 / rec.timing["seconds"])
-    bare = dataclasses.replace(rec, timing={})
+    assert set(rec.provenance) == {
+        "python", "numpy", "scipy", "blas", "openblas_num_threads", "omp_num_threads", "cpus"
+    }
+    assert rec.provenance["numpy"] == np.__version__
+    assert rec.provenance["cpus"] >= 1
+    assert all(r.provenance == rec.provenance for r in records)
+    bare = dataclasses.replace(rec, timing={}, provenance={})
     assert bare.content_hash() == rec.content_hash()
     for r in (rec, bare):
         clone = ResultRecord.from_json(r.to_json())
         assert clone.timing == r.timing
+        assert clone.provenance == r.provenance
         assert clone.content_hash() == rec.content_hash()
-    # a record written before the field existed still loads, with no timing
+    # a record written before the fields existed still loads, without them
     body = json.loads(rec.to_json())
-    del body["timing"]
+    del body["timing"], body["provenance"]
     old = ResultRecord.from_json(json.dumps(body))
     assert old.timing == {}
+    assert old.provenance == {}
     assert old.content_hash() == rec.content_hash()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triclt import graphs
 from triclt.errors import InputError
 from triclt.graphs import (
     Graph,
@@ -126,6 +127,46 @@ def test_batch_triangle_counts_every_small_n(n):
 def test_batch_triangle_counts_complete_graph(n):
     full = np.ones((2, num_edges(n)), dtype=np.uint8)
     assert list(batch_triangle_counts(full, n)) == [math.comb(n, 3)] * 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 63, 64, 65, 127, 128, 129])
+def test_batch_triangle_counts_kernels_agree(n):
+    # 64 and 65 (and 128, 129) sit on the uint64 word boundaries of the
+    # popcount kernel; p runs across its density threshold
+    ne = num_edges(n)
+    rows = [np.zeros(ne, np.uint8), np.ones(ne, np.uint8)]
+    for k, p in enumerate((0.02, 0.09, 0.1, 0.11, 0.5)):
+        rows.extend(gnp_edge_bits(SamplerConfig(n=n, p=p, seed=n, stream=k), 0, 3))
+    bits = np.array(rows)
+    expected = [
+        triangle_count(Graph(n, sum(1 << int(r) for r in np.flatnonzero(row)))) for row in rows
+    ]
+    for dtype in (bool, np.uint8, np.int64):
+        typed = bits.astype(dtype)
+        for kernel in (graphs._popcount_counts, graphs._dense_counts):
+            counts = kernel(typed, n)
+            assert counts.dtype == np.int64
+            assert list(counts) == expected, (kernel.__name__, dtype)
+        sparse = gnp_edge_bits(SamplerConfig(n=n, p=0.05, seed=1), 0, 4).astype(dtype)
+        assert list(batch_triangle_counts(sparse, n)) == list(graphs._dense_counts(sparse, n))
+
+
+def test_batch_triangle_counts_rejects_bad_shape():
+    bits = gnp_edge_bits(SamplerConfig(n=10, p=0.5, seed=1), 0, 3)
+    assert bits.shape == (3, 45)
+    for n in (8, 12):
+        with pytest.raises(InputError):
+            batch_triangle_counts(bits, n)
+    with pytest.raises(InputError):
+        batch_triangle_counts(bits[0], 10)
+    with pytest.raises(InputError):
+        batch_triangle_counts(bits[:, :, None], 10)
+    # the dense kernel's float32 row sums, at most C(n-1, 2), stay below 2^24
+    top = graphs.MAX_COUNT_N
+    assert math.comb(top - 1, 2) < 2**24 <= math.comb(top, 2)
+    assert batch_triangle_counts(np.zeros((0, num_edges(top)), np.uint8), top).shape == (0,)
+    with pytest.raises(InputError):
+        batch_triangle_counts(np.zeros((0, num_edges(top + 1)), np.uint8), top + 1)
 
 
 # ---------------------------------------------------------------------------
