@@ -14,8 +14,9 @@ proxy      independent-indicator proxy model: exact moments + MC d_K
 Every record echoes its configuration and carries a content hash over all
 deterministic fields (timestamp, timing and provenance excluded), so
 identical (seed, config) reruns are bit-identical and hashable as such.
-Monte Carlo d_K records (sample-dk, proxy) carry a ``timing`` dict: seconds
-and samples/s.  Every record carries a ``provenance`` dict: the Python,
+Monte Carlo records (sample-dk, proxy, coupling) carry a ``timing`` dict:
+seconds and samples/s; oracle records carry the seconds their exact routine
+took.  Every record carries a ``provenance`` dict: the Python,
 numpy, scipy and BLAS versions, the BLAS thread variables and the usable
 CPUs.  Output is JSON lines; the patterns subcommand also writes a CSV
 mirror.
@@ -128,7 +129,12 @@ def sample_w(n: int, p: float, samples: int, seed: int, streams: int = 1) -> np.
 def sample_proxy_w(
     n: int, p: float, samples: int, seed: int, streams: int = 1
 ) -> np.ndarray:
-    """Standardised proxy draws (Y - EY)/sd(Y), exact proxy moments."""
+    """Standardised proxy draws (Y - EY)/sd(Y), exact proxy moments.
+
+    Chunks hold at least 128 samples and at most 2^22 pair counters; each
+    chunk is drawn group by group with a guide-table inverse CDF (see
+    `sampler.proxy_samples`), so its temporaries stay within a few MiB.
+    n is capped at MAX_PROXY_N = 1031."""
     step = max(128, (1 << 22) // (n * (n - 1) // 2))
     chunks = stream_chunks(n, p, seed, samples, streams, step)
     rep = proxy_exact(n, p)
@@ -251,6 +257,13 @@ def _timing(samples: int, t0: float) -> dict:
     return {"seconds": seconds, "samples_per_s": samples / seconds}
 
 
+def _timed(fn, *args):
+    """fn(*args) and the record timing of the call: its wall seconds."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, {"seconds": time.perf_counter() - t0}
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -335,7 +348,7 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     t_grid = cfg.t_grid or (0.5, 1.0, 2.0, 4.0)
     for n in cfg.n_list:
         p = cfg.resolve_p(n)
-        dist = enumerate_distribution(n, p)
+        dist, timing = _timed(enumerate_distribution, n, p)
         records.append(
             _mkrecord(
                 cfg,
@@ -347,11 +360,13 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
                     "atoms": [[t, q] for t, q in dist.atoms],
                     "variance": dist.var(),
                 },
+                timing=timing,
             )
         )
-        records.append(_mkrecord(cfg, "exact_dk", n=n, p=p, value=exact_dk(n, p)))
+        dk, timing = _timed(exact_dk, n, p)
+        records.append(_mkrecord(cfg, "exact_dk", n=n, p=p, value=dk, timing=timing))
         for t in t_grid:
-            chk = exact_chf_ode(n, p, t)
+            chk, timing = _timed(exact_chf_ode, n, p, t)
             records.append(
                 _mkrecord(
                     cfg,
@@ -360,10 +375,11 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
                     p=p,
                     value=chk.residual,
                     extra={"t": t, "phi": [chk.phi.real, chk.phi.imag]},
+                    timing=timing,
                 )
             )
         if cfg.couplings:
-            rep = verify_couplings(n, p)
+            rep, timing = _timed(verify_couplings, n, p)
             records.append(
                 _mkrecord(
                     cfg,
@@ -382,6 +398,7 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
                         "e_s": rep.e_s_enumerated,
                         "weak": {k: v for k, v in rep.weak_extended_residuals.items()},
                     },
+                    timing=timing,
                 )
             )
     return records
@@ -396,11 +413,13 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
             names, parts = ("r3", "r4"), ("r31", "r32", "r33", "r41", "r42", "r43")
         else:
             names = parts = ("r1", "r2")
+        t0 = time.perf_counter()
         est = estimate_r(n, p, cfg.samples, t_grid, names, cfg.seed, cfg.streams)
         estimates = {k: est[k] for k in names}
         detail = {k: est[k].value for k in parts}
         dk_res = empirical_dk(est["w"], cfg.delta)
         report = assemble_bound(n, p, estimates, cfg.r_tilde_policy, cfg.form)
+        timing = _timing(cfg.samples, t0)
         records.append(
             _mkrecord(
                 cfg,
@@ -421,6 +440,7 @@ def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
                     "dk_band": dk_res["dkw_band"],
                     "std_errors": {k: v.std_error for k, v in estimates.items()},
                 },
+                timing=timing,
             )
         )
     return records

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import InputError, NumericError
+from .graphs import MAX_PROXY_N
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -319,8 +320,11 @@ def proxy_exact(n: int, p: float) -> ProxyReport:
     they share their owning pair, giving sum_j j (n-1-j)(n-2-j) ordered
     covarying pairs (0-based j); this differs from the C(n,3)(n-3) count of
     the display formula, which is only order-correct and is reported
-    separately for comparison.
+    separately for comparison.  n is capped at MAX_PROXY_N, where the
+    Binomial(n-2, p^2) pmf's math.comb stops converting to float.
     """
+    if n > MAX_PROXY_N:
+        raise InputError(f"proxy moments need n <= {MAX_PROXY_N}, got {n}")
     mom = exact_moments(n, p)
     if n < 4:
         raise InputError("proxy moments need n >= 4")

@@ -20,8 +20,16 @@ error at any attainable sample count.
 The proxy model replaces each triangle indicator with I_{ij} * I_{ijk} where
 I_{ij} ~ Be(p) is owned by the two smallest labels of the triple and
 I_{ijk} ~ Be(p^2), all independent.  Given the pair (i, j), the inner sum
-over k is Binomial(n-1-j, p^2) (0-based labels), so one uniform per
-(pair, sample) drives an exact inverse-CDF draw of the whole group.
+over k is Binomial(n-1-j, p^2) (0-based labels), so one 53-bit key per
+(pair, sample) drives an exact inverse-CDF draw of the whole group.  The
+pairs are drawn group by group: the j pairs with larger label j mix only
+their own (j, samples) grid of counters, from a column and a row ramp, and
+look their keys up in a guide table cached per (group size, p^2).  The
+table compares integer keys with the thresholds ceil(cdf * 2^53), so each
+count equals the float search searchsorted(cdf, key / 2^53) bit for bit;
+the few keys in far-tail buckets take that search directly.  n is capped at
+MAX_PROXY_N = 1031, where the Binomial pmf's math.comb stops converting to
+float.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graphs import Graph, num_edges
+from .graphs import MAX_PROXY_N, Graph, num_edges
 
 U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -68,6 +76,19 @@ def derive_key(seed: int, stream: int, purpose: int = 0) -> np.uint64:
         return _finalize(k + U64(purpose) * _GOLDEN)
 
 
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """splitmix64 output mix of every word of z, in place; t is a work array of
+    z's shape.  uint64 arithmetic wraps mod 2^64 by design."""
+    np.right_shift(z, U64(30), out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, U64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, U64(31), out=t)
+    z ^= t
+
+
 def _mixed_blocks(key: np.uint64, counters: range):
     """splitmix64 words of (key + GOLDEN * counter), one block at a time.
 
@@ -86,14 +107,7 @@ def _mixed_blocks(key: np.uint64, counters: range):
         zb, tb = z[: hi - lo], t[: hi - lo]
         offset = (int(key) + int(_GOLDEN) * (counters.start + lo)) & _MASK64
         np.add(g_ramp[: hi - lo], U64(offset), out=zb)
-        np.right_shift(zb, U64(30), out=tb)
-        zb ^= tb
-        zb *= _MIX1
-        np.right_shift(zb, U64(27), out=tb)
-        zb ^= tb
-        zb *= _MIX2
-        np.right_shift(zb, U64(31), out=tb)
-        zb ^= tb
+        _mix(zb, tb)
         yield lo, hi, zb
 
 
@@ -176,7 +190,8 @@ def sample_gnp(cfg: SamplerConfig, index: int) -> Graph:
 
 @lru_cache(maxsize=None)
 def _binom_cdf(m: int, q: float) -> np.ndarray:
-    """CDF of Binomial(m, q) as a length-(m+1) array (exact comb-based pmf)."""
+    """CDF of Binomial(m, q) as a length-(m+1) array (exact comb-based pmf).
+    math.comb(m, j) converts to float only for m < 1030; see MAX_PROXY_N."""
     pmf = [math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)]
     cdf = np.cumsum(np.array(pmf))
     cdf[-1] = 1.0  # guard so inverse-CDF lookups never land past m
@@ -184,39 +199,83 @@ def _binom_cdf(m: int, q: float) -> np.ndarray:
     return cdf
 
 
+@lru_cache(maxsize=None)
+def _guide_table(m: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Guide table (Chen & Asau 1974) of the Binomial(m, q) inverse CDF over
+    53-bit keys k: the draw of key k is searchsorted(cdf, k / 2^53, "right").
+
+    With the integer thresholds t_i = ceil(cdf_i * 2^53), cdf_i <= k / 2^53
+    exactly when t_i <= k, so the draw is the number of t_i <= k.  Keys fall
+    in 2^(bit_length(m) + 3) buckets by their top bits, 8 to 16 per outcome.
+    A bucket with at most one threshold answers base[b] + (k >= first[b]):
+    base is the draw at its lowest key and first the next threshold.  Where
+    a bucket holds two or more (the far tails), base is -2, so the sum stays
+    negative and flags the key for np.searchsorted(t, k, "right").  Returns
+    (shift, base, first, t), with bucket b = k >> shift.
+    """
+    t = np.ceil(_binom_cdf(m, q) * 2.0**53).astype(np.int64)
+    shift = 53 - (m.bit_length() + 3)
+    low = np.arange(1 << (53 - shift), dtype=np.int64) << shift
+    below = np.searchsorted(t, low, side="right")  # t_m = 2^53 > k, so <= m
+    within = np.searchsorted(t, low + ((1 << shift) - 1), side="right") - below
+    base = np.where(within >= 2, -2, below).astype(np.int32)
+    first = t[below]
+    for table in (base, first, t):
+        table.setflags(write=False)  # shared by every caller, like the cdf
+    return shift, base, first, t
+
+
+def _inverse_cdf(table: tuple, keys: np.ndarray) -> np.ndarray:
+    """Draws, int32, of the 53-bit int64 `keys` from a _guide_table."""
+    shift, base, first, t = table
+    bucket = keys >> shift
+    draws = base[bucket]
+    draws += keys >= first[bucket]
+    tails = np.flatnonzero(draws < 0)
+    if tails.size:
+        draws.flat[tails] = np.searchsorted(t, keys.flat[tails], side="right")
+    return draws
+
+
 def proxy_samples(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
     """Draws of the proxy statistic Y for samples start..start+count-1.
 
     Pair (i, j), i < j, owns the triples {i, j, k} with k > j, so its group
     is I_{ij} * Binomial(n-1-j, p^2); groups are independent across pairs.
+    Pair (i, j) of sample s has counter s * C(n,2) + j(j-1)/2 + i, for its
+    edge bit and its group's key alike.  The j pairs of larger label j are
+    drawn together, as a (j, samples) grid of at most _BLOCK counters built
+    from a column and a row ramp, and looked up in one guide table.
     """
     if start < 0 or count < 0:
         raise InputError("start and count must be >= 0")
     n, p = cfg.n, cfg.p
+    if n > MAX_PROXY_N:
+        raise InputError(f"the proxy sampler needs n <= {MAX_PROXY_N}, got {n}")
     npairs = num_edges(n)
-    edge_key = derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_EDGE)
-    group_key = derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP)
-
-    ctr = range(start * npairs, (start + count) * npairs)
+    edge_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_EDGE))
+    group_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP))
     thresh = _threshold(p)
-    edge_on = np.empty(len(ctr), dtype=bool)
-    for lo, hi, z in _mixed_blocks(edge_key, ctr):
-        np.less(z, thresh, out=edge_on[lo:hi])
-    u = np.empty(len(ctr), dtype=np.float64)
-    for lo, hi, z in _mixed_blocks(group_key, ctr):
-        np.right_shift(z, U64(11), out=z)  # 53-bit uniforms in [0, 1)
-        np.multiply(z, 1.0 / (1 << 53), out=u[lo:hi])
-    edge_on = edge_on.reshape(count, npairs)
-    u = u.reshape(count, npairs)
 
+    # GOLDEN * (counter - the grid's first counter) = column + row ramp
+    col_ramp = np.arange(n - 1, dtype=np.uint64)[:, None] * _GOLDEN
+    row_ramp = np.arange(0, count * npairs, npairs, dtype=np.uint64) * _GOLDEN
     y = np.zeros(count, dtype=np.int64)
-    # pairs with the same j share the group size n-1-j; rank(i,j) = j(j-1)/2+i
-    for j in range(1, n):
-        size = n - 1 - j
-        if size == 0:
-            continue
-        lo = j * (j - 1) // 2
-        cdf = _binom_cdf(size, p * p)
-        counts = np.searchsorted(cdf, u[:, lo : lo + j], side="right")
-        y += (counts * edge_on[:, lo : lo + j]).sum(axis=1)
+    for j in range(1, n - 1):  # the pairs of label n-1 own no triples
+        table = _guide_table(n - 1 - j, p * p)
+        rows = max(1, _BLOCK // j)
+        for r0 in range(0, count, rows):
+            r1 = min(r0 + rows, count)
+            ramp = col_ramp[:j] + row_ramp[: r1 - r0]
+            origin = int(_GOLDEN) * ((start + r0) * npairs + j * (j - 1) // 2)
+            z = ramp + U64((edge_key + origin) & _MASK64)
+            work = np.empty_like(z)
+            _mix(z, work)
+            edge_on = z < thresh
+            np.add(ramp, U64((group_key + origin) & _MASK64), out=z)
+            _mix(z, work)
+            np.right_shift(z, U64(11), out=z)  # 53-bit keys
+            draws = _inverse_cdf(table, z.view(np.int64))
+            draws *= edge_on
+            y[r0:r1] += draws.sum(axis=0)
     return y

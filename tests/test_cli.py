@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,13 +203,23 @@ def test_record_round_trip_and_hash_determinism():
     assert records2[0].timestamp != 0.0
 
 
-@pytest.mark.parametrize("subcommand", ["sample-dk", "proxy"])
+@pytest.mark.parametrize("subcommand", ["sample-dk", "proxy", "coupling", "oracle"])
 def test_timing_stays_outside_content_hash(subcommand):
-    _, records = run(_cfg(subcommand=subcommand, n_list=(8,), samples=3000, seed=5))
+    n = 5 if subcommand == "oracle" else 8
+    cfg = _cfg(subcommand=subcommand, n_list=(n,), samples=3000, seed=5, t_grid=(1.0,),
+               couplings=True)
+    _, records = run(cfg)
     rec = records[-1]
-    assert set(rec.timing) == {"seconds", "samples_per_s"}
     assert rec.timing["seconds"] > 0
-    assert rec.timing["samples_per_s"] == pytest.approx(3000 / rec.timing["seconds"])
+    if subcommand == "oracle":
+        # one exact routine per record, no samples
+        assert [r.quantity for r in records] == [
+            "exact_distribution", "exact_dk", "ode_residual", "coupling_residuals"
+        ]
+        assert all(set(r.timing) == {"seconds"} and r.timing["seconds"] > 0 for r in records)
+    else:
+        assert set(rec.timing) == {"seconds", "samples_per_s"}
+        assert rec.timing["samples_per_s"] == pytest.approx(3000 / rec.timing["seconds"])
     assert set(rec.provenance) == {
         "python", "numpy", "scipy", "blas", "openblas_num_threads", "omp_num_threads", "cpus"
     }
@@ -387,6 +399,7 @@ def test_main_exit_codes(tmp_path):
     assert main(["moments", "--n", "4"]) == 2              # config: no p rule
     assert main(["oracle", "--n", "9", "--p", "fixed:0.5"]) == 3   # capacity
     assert main(["sample-dk", "--n", "16", "--p", "power:1.0,0.6"]) == 2  # np < 4
+    assert main(["proxy", "--n", "1032", "--p", "fixed:0.5"]) == 1  # n > MAX_PROXY_N
     ok = tmp_path / "ok.jsonl"
     assert main(["moments", "--n", "4", "--p", "fixed:0.5", "--out", str(ok)]) == 0
     # config files: a misspelled, unknown or abbreviated key, a bad choice
@@ -407,6 +420,18 @@ def test_main_exit_codes(tmp_path):
         records = tmp_path / f"{name}.jsonl"
         records.write_text(line + "\n")
         assert main(["rate-fit", "--input", str(records)]) == 2
+
+
+def test_python_m_triclt_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "triclt", "moments", "--n", "4", "--p", "fixed:0.5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[0])["quantity"] == "var_T"
 
 
 def test_patterns_cov_check_takes_one_n_up_to_7(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from itertools import product
@@ -10,12 +11,18 @@ import pytest
 from triclt.cli import sample_proxy_w, sample_w
 from triclt.errors import ConfigError, InputError
 from conftest import proxy_brute_force_pmf
-from triclt.graphs import num_edges
+from triclt.graphs import MAX_PROXY_N, num_edges
+from triclt.moments import proxy_exact
 from triclt.sampler import (
     PURPOSE_GNP_EDGE,
+    PURPOSE_PROXY_EDGE,
+    PURPOSE_PROXY_GROUP,
     SamplerConfig,
     _BLOCK,
     _binom_cdf,
+    _finalize,
+    _guide_table,
+    _inverse_cdf,
     _threshold,
     derive_key,
     gnp_edge_bits,
@@ -222,3 +229,74 @@ def test_proxy_single_draw_determinism():
     cfg = SamplerConfig(n=6, p=0.5, seed=3)
     assert proxy_samples(cfg, 11, 1)[0] == proxy_samples(cfg, 11, 1)[0]
     assert proxy_samples(cfg, 11, 1)[0] == proxy_samples(cfg, 0, 12)[11]
+
+
+def reference_proxy_samples(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
+    """Proxy draws one pair at a time in pure Python: each counter is mixed
+    by the scalar splitmix64 and each group drawn by bisect on its cdf."""
+    n, golden = cfg.n, 0x9E3779B97F4A7C15
+    npairs = num_edges(n)
+    edge_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_EDGE))
+    group_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP))
+    thresh = int(_threshold(cfg.p))
+
+    def word(key, counter):
+        return int(_finalize(np.uint64((key + golden * counter) % 2**64)))
+
+    ys = []
+    for s in range(start, start + count):
+        y = 0
+        for j in range(1, n - 1):
+            cdf = list(_binom_cdf(n - 1 - j, cfg.p * cfg.p))
+            for i in range(j):
+                counter = s * npairs + j * (j - 1) // 2 + i
+                if word(edge_key, counter) < thresh:
+                    u = (word(group_key, counter) >> 11) / 2**53
+                    y += bisect.bisect_right(cdf, u)
+        ys.append(y)
+    return np.array(ys)
+
+
+@pytest.mark.parametrize("n, p, seed, stream, start, count", [
+    (3, 0.37, 4, 0, 0, 40),
+    (5, 0.999, 8, 1, 0, 20),
+    (6, 0.5, 3, 1, 1000, 20),
+    (9, 0.2, 77, 2, 5, 10),
+    (13, 0.9, 1, 0, 1000, 4),
+])
+def test_proxy_samples_equal_pure_python_reference(n, p, seed, stream, start, count):
+    cfg = SamplerConfig(n=n, p=p, seed=seed, stream=stream)
+    want = reference_proxy_samples(cfg, start, count)
+    assert np.array_equal(proxy_samples(cfg, start, count), want)
+
+
+def test_guide_table_equals_searchsorted():
+    # keys at and beside every threshold t_i = ceil(cdf_i 2^53), the ends of
+    # the key range, and random keys
+    rng = np.random.default_rng(12)
+    tail_keys = 0
+    for q in (1e-12, 1e-4, 0.01, 0.25, 0.49, 0.81, 0.999999):
+        for m in range(1, 201):
+            table = _guide_table(m, q)
+            shift, base, _, t = table
+            keys = np.concatenate([[0, 2**53 - 1], t - 1, t, t + 1,
+                                   rng.integers(0, 2**53, 500)])
+            keys = keys[(keys >= 0) & (keys < 2**53)]
+            want = np.searchsorted(_binom_cdf(m, q), keys / 2**53, side="right")
+            assert np.array_equal(_inverse_cdf(table, keys), want), (m, q)
+            tail_keys += np.count_nonzero(base[keys >> shift] < 0)
+    assert tail_keys > 0  # the np.searchsorted fallback was taken
+
+
+def test_proxy_size_bound():
+    # the pmf's math.comb(m, j) must convert to float: m = n - 2 <= 1029
+    assert MAX_PROXY_N == 1031
+    assert math.isfinite(float(math.comb(1029, 514)))
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+    assert _binom_cdf(MAX_PROXY_N - 2, 0.25)[-1] == 1.0
+    cfg = SamplerConfig(n=MAX_PROXY_N + 1, p=0.5, seed=1)
+    with pytest.raises(InputError):
+        proxy_samples(cfg, 0, 1)
+    with pytest.raises(InputError):
+        proxy_exact(MAX_PROXY_N + 1, 0.5)
