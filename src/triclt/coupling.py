@@ -13,9 +13,11 @@ are integer triangle counts less fixed multiples of p^3:
 
 so a sum over triples or pairs of c * f(Y), with a weight c fixed by the
 triangle bits of v (and w), equals sum_k H_k c f(k - offset) over integer
-counts H that do not depend on t.  Each graph costs one bincount over its
-pairs and a small matmul with tables over k, not a complex exp per pair
-and t.  Estimators:
+counts H that do not depend on t.  Since Y_{v,w} = Y_{w,v} and the weight is
+symmetric in (v, w), pair counts are taken once per unordered pair and
+doubled.  The counts are formed in int16, exact below n = 2048.  Each graph
+costs one bincount over its pairs and a small matmul with tables over k,
+not a complex exp per pair and t.  Estimators:
 
 * r1, r3 components: exact per-graph averages, then a plain MC mean;
 * r2, r4 components: a complex graph functional per sample, whose variance
@@ -112,14 +114,19 @@ def batch_se(values) -> np.ndarray:
     return np.std(values, axis=0, ddof=1) / math.sqrt(len(values))
 
 
-def _class_histogram(cls: np.ndarray, k: np.ndarray, n_cls: int, size: int) -> np.ndarray:
-    """Per-row counts of (class, K) for integer-valued float blocks cls and k
-    (rows = graphs); column cls * size + k of an (m, n_cls * size) array."""
-    m = cls.shape[0]
-    base = np.arange(m)[:, None] * (n_cls * size)
-    flat = (base + cls * size + k).astype(np.intp)
-    counts = np.bincount(flat.ravel(), minlength=m * n_cls * size)
-    return counts.reshape(m, n_cls * size)
+def _code_histogram(
+    code: np.ndarray, width: int, flat: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-row counts of the integer codes 0..width-1 in block `code` (rows =
+    graphs), as an (m, width) int64 array: one bincount over the codes
+    offset by row * width.  The offset codes are written to `flat` when it
+    is given, an intp buffer of at least code.size entries; reusing one
+    buffer across blocks spares a fresh allocation per block, which cost as
+    much as the bincount itself."""
+    m = code.shape[0]
+    flat = np.empty(code.size, dtype=np.intp) if flat is None else flat[: code.size]
+    np.add(code, np.arange(0, m * width, width)[:, None], out=flat.reshape(code.shape))
+    return np.bincount(flat, minlength=m * width).reshape(m, width)
 
 
 def _outer_rows(*parts: tuple) -> np.ndarray:
@@ -198,7 +205,12 @@ def inner_terms(
     with w = v have Y_{v,v} = Y_v and reuse the (b_v, K_v) counts.  So one
     bincount per block gives each graph's integer counts H, and a component
     is H @ table, with the summand tabled once per (class, K) and t by
-    `term_tables`.
+    `term_tables`.  w in nu_v iff v in nu_w, and both Y_{v,w} = Y_{w,v} and
+    b_v + b_w are symmetric, so the pair counts are taken over the pairs
+    with v < w only, then doubled.  Bits, S and K are cast to int16 once per
+    call: every code, intermediates included, is at most 16n - 46, so the
+    counts are exact integers for n < 2048 (int32 beyond), and the output
+    is the same bit for bit as with float64 counts over every pair.
 
     `terms` names the components wanted.  Each comes back as a real (m,)
     array, or for the per-t components a complex (m, len(t_grid)) array.  Pair
@@ -221,20 +233,28 @@ def inner_terms(
     tables = term_tables(n, p, t_grid)
 
     s_count, k_v = tb.y_matrix(bits)
-    h1 = _class_histogram(bits, k_v, 2, nu + 1).astype(np.float64)
+    # every count and code below, intermediates included, is at most
+    # 2 (nu + nu2 + 1) = 16n - 46, so int16 is exact for n < 2048, past any
+    # n whose TripleBasis fits in memory (C(2048, 3) = 1.4e9 triples)
+    small = np.int16 if 16 * n < 2**15 else np.int32
+    b, s_count, k_v = (a.astype(small) for a in (bits, s_count, k_v))
+    h1 = _code_histogram(b * (nu + 1) + k_v, 2 * (nu + 1)).astype(np.float64)
     # a table with rows past the (b_v, K_v) block also sums over pairs
     pair_terms = {name for name in terms if len(tables[name]) > h1.shape[1]}
     out = {name: _count_matmul(h1, tables[name]) for name in terms - pair_terms}
     if pair_terms:
-        h2 = np.zeros((m, 3 * (nu2 + 1)))
-        others = np.flatnonzero(tb.pair_v != tb.pair_w)
+        # given K + b (nu2 + 1) in place of K, ypair_columns adds
+        # (b_v + b_w)(nu2 + 1) to K_{v,w}: it returns the histogram code
+        width = 3 * (nu2 + 1)
+        upper = np.flatnonzero(tb.pair_v < tb.pair_w)
+        z = k_v + b * (nu2 + 1)
         step = max(1, BLOCK // m)
-        for lo in range(0, len(others), step):
-            sel = others[lo : lo + step]
-            k_vw = tb.ypair_columns(bits, s_count, k_v, sel)
-            cls = bits[:, tb.pair_v[sel]] + bits[:, tb.pair_w[sel]]
-            h2 += _class_histogram(cls, k_vw, 3, nu2 + 1)
-        h = np.hstack([h1, h2])
+        flat = np.empty(m * step, dtype=np.intp)
+        h2 = np.zeros((m, width), dtype=np.int64)
+        for lo in range(0, len(upper), step):
+            code = tb.ypair_columns(b, s_count, z, upper[lo : lo + step])
+            h2 += _code_histogram(code, width, flat)
+        h = np.hstack([h1, 2.0 * h2])
         out.update((name, _count_matmul(h, tables[name])) for name in pair_terms)
     return out
 

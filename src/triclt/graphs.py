@@ -242,6 +242,13 @@ class TripleBasis:
     Y_v is the number K_v of triangles in nu_v less nu p^3 (nu = 3(n-3)+1),
     and Y_{v,w} for w != v is the number of triangles in nu_v u nu_w, a set
     of 2nu - n triples, less (2nu - n) p^3.
+
+    The pair list is closed under swapping: w in nu_v iff v in nu_w, so each
+    pair with w != v appears as (v, w) and as (w, v), and Y_{v,w} = Y_{w,v}
+    (the union nu_v u nu_w is symmetric).  `coupling.inner_terms` therefore
+    counts the pairs with v < w once and doubles the counts.
+    `ypair_columns` computes in the dtype it is given: float64 for centred
+    rows, int16 bits, S and K for those counts.
     """
 
     n: int
@@ -287,7 +294,8 @@ class TripleBasis:
     def ypair_columns(
         self, x: np.ndarray, s: np.ndarray, y: np.ndarray, pair_idx: np.ndarray
     ) -> np.ndarray:
-        """Y_{v,w} for the selected pair indices (vectorised gathers)."""
+        """Y_{v,w} for the selected pair indices (vectorised gathers), in the
+        dtype of x, s and y: on integer bits, S and K it gives K_{v,w}."""
         pv = self.pair_v[pair_idx]
         pw = self.pair_w[pair_idx]
         # w = v pairs hold index -1 here; their columns are overwritten below

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from triclt.coupling import (
+    BLOCK,
     COMPONENTS,
     DEFAULT_T_GRID,
     RTermEstimate,
@@ -145,6 +146,32 @@ def test_graph_conditional_matches_scalar_recomputation():
             for name in COMPONENTS:
                 want = direct[name] if name in T_POWERS else direct[name][0].real
                 assert np.max(np.abs(got[name][row] - want)) <= 1e-12, (n, row, name)
+
+
+def test_graph_conditional_over_several_pair_blocks():
+    # n = 8 on 2050 rows: BLOCK // 2050 = 127 of the 420 pairs with v < w per
+    # block, so four blocks, the last one partial.  The empty and complete
+    # graphs put K_{v,w} at both ends of its range, 0 and 2nu - n.
+    n, p, ts = 8, 0.7, [0.01, 1.3, 10.0]
+    tb = triple_basis(n)
+    upper, step = np.count_nonzero(tb.pair_v < tb.pair_w), BLOCK // 2050
+    assert upper // step >= 2 and upper % step
+    edges = gnp_edge_bits(SamplerConfig(n=n, p=0.5, seed=21), 0, 2050)
+    edges[0] = 0
+    edges[-1] = 1
+    x = tb.x_matrix(tb.triangle_bits(edges), p)
+    got = inner_terms(x, n, p, ts, COMPONENTS)
+    # rows in one block of pairs: the same counts, so the same values
+    few = [0, 1, 1025, 2049]
+    alone = inner_terms(x[few], n, p, ts, COMPONENTS)
+    for name in COMPONENTS:
+        assert np.max(np.abs(got[name][few] - alone[name])) <= 1e-12, name
+    for row in few[:1] + few[-2:]:
+        g = Graph(n, sum(int(bit) << r for r, bit in enumerate(edges[row])))
+        direct = _scalar_components(g, p, ts)
+        for name in COMPONENTS:
+            want = direct[name] if name in T_POWERS else direct[name][0].real
+            assert np.max(np.abs(got[name][row] - want)) <= 1e-12, (row, name)
 
 
 def test_graph_conditional_rejects_non_indicator_rows():

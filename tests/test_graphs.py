@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -301,6 +302,35 @@ def test_triple_basis_matches_scalar_functions():
         w = tb.triples[tb.pair_w[m]]
         ref = local_sum(g, p, v, None if w == v else w)
         assert y_pair[0, m] == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_pair_list_is_symmetric(n):
+    # the halving in coupling.inner_terms: the pair list is closed under
+    # swapping, each unordered pair with v != w appears exactly twice, and
+    # Y_{v,w} == Y_{w,v} exactly, in float64 and in the int16 it runs on
+    tb = triple_basis(n)
+    pairs = list(zip(tb.pair_v.tolist(), tb.pair_w.tolist()))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    assert len(index) == len(pairs)
+    assert set(pairs) == {(w, v) for v, w in pairs}
+    unordered = Counter(frozenset(pair) for pair in pairs if pair[0] != pair[1])
+    assert set(unordered.values()) == {2}
+    swap = np.array([index[(w, v)] for v, w in pairs])
+
+    edges = np.vstack([
+        np.zeros((1, num_edges(n)), dtype=np.uint8),
+        np.ones((1, num_edges(n)), dtype=np.uint8),
+        gnp_edge_bits(SamplerConfig(n=n, p=0.6, seed=n), 0, 64),
+    ])
+    tri = tb.triangle_bits(edges)
+    # centred rows in float64, and the bits themselves in float64 and int16
+    for rows, dtype in ((tb.x_matrix(tri, 0.3), np.float64), (tri, np.float64), (tri, np.int16)):
+        s, y = tb.y_matrix(rows.astype(np.float64))
+        x, s, y = (a.astype(dtype) for a in (rows, s, y))
+        y_pair = tb.ypair_columns(x, s, y, np.arange(tb.n_pairs))
+        assert y_pair.dtype == dtype
+        assert np.array_equal(y_pair, y_pair[:, swap])
 
 
 def test_graph_immutable_and_validated():
