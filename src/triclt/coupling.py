@@ -14,8 +14,8 @@ are integer triangle counts less fixed multiples of p^3:
 so a sum over triples or pairs of c * f(Y), with a weight c fixed by the
 triangle bits of v (and w), equals sum_k H_k c f(k - offset) over integer
 counts H that do not depend on t.  Since Y_{v,w} = Y_{w,v} and the weight is
-symmetric in (v, w), pair counts are taken once per unordered pair and
-doubled.  The counts are formed in int16, exact below n = 2048.  Each graph
+symmetric in (v, w), each unordered pair is listed once, its counts doubled.
+The counts are formed in int16, exact below n = 2048.  Each graph
 costs one bincount over its pairs and a small matmul with tables over k,
 not a complex exp per pair and t.  Estimators:
 
@@ -93,10 +93,15 @@ FAMILIES = {
     "r3": {"r1": 0.5, "r32": 1.0, "r33": 1.0},
     "r4": {"r41": 1.0, "r42": 1.0, "r43": 1.0},
 }
-# elements per (graphs x pairs) block in inner_terms and per (graphs x
-# triples) chunk in estimate_r and the mc pattern check: every temporary
-# stays near 4 MiB
+# elements per (graphs x pairs) block in inner_terms and in
+# oracle.verify_couplings, and per (graphs x triples) chunk of graph_chunk:
+# every temporary stays near 4 MiB
 BLOCK = 1 << 18
+
+
+def graph_chunk(n_triples: int) -> int:
+    """Graphs per chunk in estimate_r, the exact oracle and the mc pattern check."""
+    return max(1, min(4096, BLOCK // n_triples))
 
 
 def compose(family: str, parts: dict):
@@ -206,11 +211,11 @@ def inner_terms(
     bincount per block gives each graph's integer counts H, and a component
     is H @ table, with the summand tabled once per (class, K) and t by
     `term_tables`.  w in nu_v iff v in nu_w, and both Y_{v,w} = Y_{w,v} and
-    b_v + b_w are symmetric, so the pair counts are taken over the pairs
-    with v < w only, then doubled.  Bits, S and K are cast to int16 once per
-    call: every code, intermediates included, is at most 16n - 46, so the
-    counts are exact integers for n < 2048 (int32 beyond), and the output
-    is the same bit for bit as with float64 counts over every pair.
+    b_v + b_w are symmetric, so the pair list holds each unordered pair
+    once and its counts are doubled.  Bits, S and K are cast to int16 once
+    per call: every code, intermediates included, is at most 16n - 46, so
+    the counts are exact integers, and the output is the same bit for bit
+    as with float64 counts over every ordered pair.
 
     `terms` names the components wanted.  Each comes back as a real (m,)
     array, or for the per-t components a complex (m, len(t_grid)) array.  Pair
@@ -236,8 +241,7 @@ def inner_terms(
     # every count and code below, intermediates included, is at most
     # 2 (nu + nu2 + 1) = 16n - 46, so int16 is exact for n < 2048, past any
     # n whose TripleBasis fits in memory (C(2048, 3) = 1.4e9 triples)
-    small = np.int16 if 16 * n < 2**15 else np.int32
-    b, s_count, k_v = (a.astype(small) for a in (bits, s_count, k_v))
+    b, s_count, k_v = (a.astype(np.int16) for a in (bits, s_count, k_v))
     h1 = _code_histogram(b * (nu + 1) + k_v, 2 * (nu + 1)).astype(np.float64)
     # a table with rows past the (b_v, K_v) block also sums over pairs
     pair_terms = {name for name in terms if len(tables[name]) > h1.shape[1]}
@@ -246,13 +250,12 @@ def inner_terms(
         # given K + b (nu2 + 1) in place of K, ypair_columns adds
         # (b_v + b_w)(nu2 + 1) to K_{v,w}: it returns the histogram code
         width = 3 * (nu2 + 1)
-        upper = np.flatnonzero(tb.pair_v < tb.pair_w)
         z = k_v + b * (nu2 + 1)
         step = max(1, BLOCK // m)
         flat = np.empty(m * step, dtype=np.intp)
         h2 = np.zeros((m, width), dtype=np.int64)
-        for lo in range(0, len(upper), step):
-            code = tb.ypair_columns(b, s_count, z, upper[lo : lo + step])
+        for lo in range(0, tb.n_pairs, step):
+            code = tb.ypair_columns(b, s_count, z, slice(lo, lo + step))
             h2 += _code_histogram(code, width, flat)
         h = np.hstack([h1, 2.0 * h2])
         out.update((name, _count_matmul(h, tables[name])) for name in pair_terms)
@@ -342,8 +345,7 @@ def estimate_r(
 
     tb = triple_basis(n)
     mom = exact_moments(n, p)
-    step = max(1, min(4096, BLOCK // tb.n_triples))
-    chunks = stream_chunks(n, p, seed, samples, streams, step)
+    chunks = stream_chunks(n, p, seed, samples, streams, graph_chunk(tb.n_triples))
     terms = {c for name in names for c in FAMILIES[name]}
     edges = batch_edges(samples)
     accs = {

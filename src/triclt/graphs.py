@@ -12,8 +12,9 @@ checks) speaks in terms of the structures defined here:
 The centred triangle indicator of a triple v is ``X_v = [triangle at v] - p^3``
 and the local neighbourhood of v is the set of triples sharing at least one
 edge with v, i.e. sharing >= 2 vertices.  ``local_sum`` gives the sums of
-centred indicators over those neighbourhoods, which is what the coupling
-construction consumes.
+centred indicators over those neighbourhoods, from vertex sets alone; the
+batched ``TripleBasis``, which the coupling construction consumes, gets
+them and its list of neighbour pairs by index arithmetic instead.
 """
 
 from __future__ import annotations
@@ -243,23 +244,23 @@ class TripleBasis:
     and Y_{v,w} for w != v is the number of triangles in nu_v u nu_w, a set
     of 2nu - n triples, less (2nu - n) p^3.
 
-    The pair list is closed under swapping: w in nu_v iff v in nu_w, so each
-    pair with w != v appears as (v, w) and as (w, v), and Y_{v,w} = Y_{w,v}
-    (the union nu_v u nu_w is symmetric).  `coupling.inner_terms` therefore
-    counts the pairs with v < w once and doubles the counts.
-    `ypair_columns` computes in the dtype it is given: float64 for centred
-    rows, int16 bits, S and K for those counts.
+    w in nu_v iff v in nu_w, and Y_{v,w} = Y_{w,v} (the union nu_v u nu_w
+    is symmetric), so the pair list holds each neighbour pair {v, w} once,
+    as v < w: v-major, then w in colex order, C(n,3) * 3(n-3) / 2 pairs.  It
+    has no w = v rows; Y_{v,v} is Y_v.  `ypair_columns` computes in the
+    dtype it is given: float64 for centred rows, int16 bits, S and K for
+    those counts.
     """
 
     n: int
     triples: tuple[TripleId, ...]
     edge_ranks: np.ndarray    # (n_tri, 3) int64
     e2t: np.ndarray           # (n_tri, n_edges) float64 0/1, triple >= edge
-    pair_v: np.ndarray        # (n_pair,) int64; pairs flattened v-major
-    pair_w: np.ndarray        # (n_pair,) int64
-    pair_shared: np.ndarray   # (n_pair,) int64 shared-edge rank, -1 if w == v
-    pair_u1: np.ndarray       # (n_pair,) int64 bridging triple index, -1 if w == v
-    pair_u2: np.ndarray       # (n_pair,) int64
+    pair_v: np.ndarray        # (n_pair,) int64 triple index, v < w
+    pair_w: np.ndarray        # (n_pair,) int64 triple index
+    pair_shared: np.ndarray   # (n_pair,) int64 shared-edge rank {a, b}
+    pair_u1: np.ndarray       # (n_pair,) int64 bridging triple {a, c, d}
+    pair_u2: np.ndarray       # (n_pair,) int64 bridging triple {b, c, d}
 
     @property
     def n_triples(self) -> int:
@@ -292,69 +293,57 @@ class TripleBasis:
         return s, y
 
     def ypair_columns(
-        self, x: np.ndarray, s: np.ndarray, y: np.ndarray, pair_idx: np.ndarray
+        self, x: np.ndarray, s: np.ndarray, y: np.ndarray, pair_idx: np.ndarray | slice
     ) -> np.ndarray:
-        """Y_{v,w} for the selected pair indices (vectorised gathers), in the
-        dtype of x, s and y: on integer bits, S and K it gives K_{v,w}."""
-        pv = self.pair_v[pair_idx]
-        pw = self.pair_w[pair_idx]
-        # w = v pairs hold index -1 here; their columns are overwritten below
+        """Y_{v,w} for the selected pairs (an index array or a slice of the
+        pair list), in the dtype of x, s and y: on integer bits, S and K it
+        gives K_{v,w}."""
         corr = (
             s[:, self.pair_shared[pair_idx]]
             + x[:, self.pair_u1[pair_idx]]
             + x[:, self.pair_u2[pair_idx]]
         )
-        out = y[:, pv] + y[:, pw] - corr
-        same = np.flatnonzero(pv == pw)
-        if same.size:
-            out[:, same] = y[:, pv[same]]
-        return out
+        return y[:, self.pair_v[pair_idx]] + y[:, self.pair_w[pair_idx]] - corr
 
 
 @lru_cache(maxsize=4)
 def triple_basis(n: int) -> TripleBasis:
     triples = tuple(all_triples(n))
-    index = {v: k for k, v in enumerate(triples)}
     n_tri = len(triples)
 
     edge_ranks = np.array(
         [[edge_rank(e, n) for e in triple_edges(v)] for v in triples], dtype=np.int64
     )
     e2t = np.zeros((n_tri, num_edges(n)), dtype=np.float64)
-    for k in range(n_tri):
-        e2t[k, edge_ranks[k]] = 1.0
+    e2t[np.arange(n_tri)[:, None], edge_ranks] = 1.0
 
-    nu_lists = []
-    for v in triples:
-        nu_lists.append(sorted(neighborhood(v, n), key=triple_rank))
+    # every w in nu_v other than v is v with one vertex z swapped for a d
+    # outside v, once each: over v, the three z and the n candidate d, with
+    # x < y the shared edge v - z
+    t = np.array(triples, dtype=np.int64).reshape(n_tri, 3, 1)
+    x, y, z, d = np.broadcast_arrays(
+        t[:, [0, 0, 1]], t[:, [1, 2, 2]], t[:, [2, 1, 0]], np.arange(n)
+    )
+    v = np.broadcast_to(np.arange(n_tri)[:, None, None], d.shape)
 
-    pv, pw, shared, u1s, u2s = [], [], [], [], []
-    for k, v in enumerate(triples):
-        for w in nu_lists[k]:
-            pv.append(k)
-            pw.append(index[w])
-            if w == v:
-                shared.append(-1)
-                u1s.append(-1)
-                u2s.append(-1)
-            else:
-                a, b = sorted(set(v) & set(w))
-                (c,) = set(v) - {a, b}
-                (d,) = set(w) - {a, b}
-                shared.append(edge_rank((a, b), n))
-                u1s.append(index[tuple(sorted((a, c, d)))])
-                u2s.append(index[tuple(sorted((b, c, d)))])
+    def rank(*u):  # triple_rank, elementwise, of vertices in any order
+        return triple_rank(np.sort(np.stack(u), axis=0))
+
+    w = rank(x, y, d)
+    keep = (d != x) & (d != y) & (d != z) & (w > v)
+    order = np.lexsort((w[keep], v[keep]))
+    v, w, x, y, z, d = (arr[keep][order] for arr in (v, w, x, y, z, d))
 
     return TripleBasis(
         n=n,
         triples=triples,
         edge_ranks=edge_ranks,
         e2t=e2t,
-        pair_v=np.array(pv, dtype=np.int64),
-        pair_w=np.array(pw, dtype=np.int64),
-        pair_shared=np.array(shared, dtype=np.int64),
-        pair_u1=np.array(u1s, dtype=np.int64),
-        pair_u2=np.array(u2s, dtype=np.int64),
+        pair_v=v,
+        pair_w=w,
+        pair_shared=y * (y - 1) // 2 + x,
+        pair_u1=rank(x, z, d),
+        pair_u2=rank(y, z, d),
     )
 
 

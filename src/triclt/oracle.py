@@ -27,7 +27,7 @@ V only through (b_V, K_V):
 
 The variances over graphs in `exact_r_terms` and the per-graph identities in
 `verify_couplings` are not linear in these counts; they still run over the
-enumerated graphs.
+enumerated graphs, each neighbour pair of the `TripleBasis` taken once.
 
 The coupling quantities follow the construction used throughout the
 toolkit: V uniform on triples, V' uniform on the neighbourhood nu_V,
@@ -51,13 +51,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coupling import COMPONENTS, FAMILIES, T_POWERS, compose, inner_terms, term_tables
+from .coupling import BLOCK, COMPONENTS, FAMILIES, T_POWERS, compose, graph_chunk
+from .coupling import inner_terms, term_tables
 from .errors import CapacityError, InputError
 from .graphs import Graph, num_edges, num_triples, triple_basis
 from .moments import exact_moments, kolmogorov_distance
 
 MAX_ORACLE_N = 7
-GRAPH_CHUNK = 4096  # graphs per inner_terms call
 FSUM_SLICE = 1 << 16  # values per list handed to math.fsum
 
 _FUNCTION_FAMILY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -149,7 +149,7 @@ def class_counts(n: int) -> np.ndarray:
     arr = oracle_arrays(n)
     tri = arr.tri_bits
     t_all = tri.sum(axis=1, dtype=np.intp)
-    k_0 = tri[:, tb.pair_w[tb.pair_v == 0]].sum(axis=1, dtype=np.intp)
+    k_0 = tri[:, np.append(0, tb.pair_w[tb.pair_v == 0])].sum(axis=1, dtype=np.intp)
     shape = (num_edges(n) + 1, tb.n_triples + 1, 2, tb.nu_size + 1)
     flat = np.ravel_multi_index((arr.popcount, t_all, tri[:, 0], k_0), shape)
     counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
@@ -242,7 +242,7 @@ def _per_graph_terms(
     n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
 ) -> dict[str, np.ndarray]:
     """coupling.inner_terms for every enumerated graph, in enumeration order,
-    computed over chunks of GRAPH_CHUNK graphs."""
+    computed over chunks of coupling.graph_chunk graphs."""
     arr = oracle_arrays(n)
     tb = triple_basis(n)
     size = arr.popcount.size
@@ -252,8 +252,9 @@ def _per_graph_terms(
         else np.empty(size)
         for name in terms
     }
-    for lo in range(0, size, GRAPH_CHUNK):
-        x = tb.x_matrix(arr.tri_bits[lo : lo + GRAPH_CHUNK], p)
+    step = graph_chunk(tb.n_triples)
+    for lo in range(0, size, step):
+        x = tb.x_matrix(arr.tri_bits[lo : lo + step], p)
         for name, values in inner_terms(x, n, p, t_grid, terms).items():
             out[name][lo : lo + len(x)] = values
     return out
@@ -338,6 +339,10 @@ def verify_couplings(
     (iii) E S = 1, enumerated over (V, V') and in closed form;
     (iv)  E[(G D~ - S) h(W'')] = 0 for each named h (the testable surrogate
           of the matching W''-conditional expectations).
+
+    Chunks of graphs take all V at once.  V' = V gives W'' = W'; any other
+    pair, its summand symmetric, comes once from the pair list with weight 2,
+    in blocks of at most coupling.BLOCK (graph, pair) elements.
     """
     _check_capacity(n, limit=6)
     arr = oracle_arrays(n)
@@ -345,51 +350,51 @@ def verify_couplings(
     mom = exact_moments(n, p)
     sigma = mom.sigma
     c3, kappa = tb.n_triples, tb.nu_size
+    family = {name: resolve_test_function(name) for name in f_family}
     w = graph_weights(n, p, arr.popcount)
-    x = tb.x_matrix(arr.tri_bits, p)  # (G, n_tri)
-    s, y = tb.y_matrix(x)  # (G, n_edge), (G, n_tri)
-    w_stat = (arr.tri_bits.sum(axis=1, dtype=np.float64) - c3 * p**3) / sigma
-    g_over_v = -(c3 / sigma) * x  # (G, n_tri), G as function of (g, V)
-    # S along the flattened (v, w in nu_v) pair list
-    sigma_vw = np.where(tb.pair_v == tb.pair_w, mom.var_x, mom.cov_overlap2)
-    s_pair = c3 * kappa / sigma**2 * sigma_vw
+    w_all = (arr.tri_bits.sum(axis=1, dtype=np.float64) - c3 * p**3) / sigma
+    nbr = np.eye(c3)
+    nbr[tb.pair_v, tb.pair_w] = nbr[tb.pair_w, tb.pair_v] = 1.0
+    # S on the c3 pairs with V' = V, and on the 2 n_pairs others
+    scale = c3 * kappa / sigma**2
+    s_same, s_other = scale * mom.var_x, scale * mom.cov_overlap2
 
-    eq5 = {}
-    for name in f_family:
-        f = resolve_test_function(name)
-        fw = f(w_stat)
-        lhs_terms = np.zeros(w.size, dtype=np.complex128)
-        for k in range(c3):
-            wp = w_stat - y[:, k] / sigma
-            lhs_terms += g_over_v[:, k] * (f(wp) - fw)
-        lhs = fsum_complex(w * lhs_terms / c3)
-        rhs = fsum_complex(w * w_stat * fw)
-        eq5[name] = abs(lhs - rhs)
+    # per graph: the sums over V in (i) and over (V, V') in (iv), (ii)'s gap
+    eq5_g = {name: np.empty(w.size, dtype=np.complex128) for name in family}
+    weak_g = {name: np.empty(w.size, dtype=np.complex128) for name in family}
+    gd_gap = np.empty(w.size)
+    chunk = graph_chunk(c3)
+    for lo in range(0, w.size, chunk):
+        rows = slice(lo, lo + chunk)
+        x = tb.x_matrix(arr.tri_bits[rows], p)
+        s, y = tb.y_matrix(x)
+        w_stat = w_all[rows, None]
+        w_prime = w_stat - y / sigma  # W' as function of (g, V)
+        g_over_v = -(c3 / sigma) * x  # G as function of (g, V)
+        # (ii) both sides per graph, each by its own literal average
+        lhs_g = np.sum(g_over_v * (-(kappa / sigma) * (x @ nbr)), axis=1) / (c3 * kappa)
+        gd_gap[rows] = lhs_g - np.mean(g_over_v * (-y / sigma), axis=1)
+        for name, f in family.items():
+            f_prime = f(w_prime)
+            eq5_g[name][rows] = np.sum(g_over_v * (f_prime - f(w_stat)), axis=1)
+            weak_g[name][rows] = np.sum((scale * x * x - s_same) * f_prime, axis=1)
+        # (iv) on the other pairs: each block of Y_{v,w} columns feeds every h
+        step = max(1, BLOCK // len(x))
+        for first in range(0, tb.n_pairs, step):
+            pairs = slice(first, first + step)
+            gdt = scale * x[:, tb.pair_v[pairs]] * x[:, tb.pair_w[pairs]]
+            wpp = w_stat - tb.ypair_columns(x, s, y, pairs) / sigma
+            for name, h in family.items():
+                weak_g[name][rows] += 2.0 * np.sum((gdt - s_other) * h(wpp), axis=1)
 
-    # (ii) both sides per graph, each by its own literal average
-    lhs_g = np.zeros(w.size, dtype=np.float64)
-    for m in range(tb.n_pairs):
-        v_idx, w_idx = tb.pair_v[m], tb.pair_w[m]
-        dtilde = -(kappa / sigma) * x[:, w_idx]
-        lhs_g += g_over_v[:, v_idx] * dtilde
-    lhs_g /= c3 * kappa
-    rhs_g = np.mean(g_over_v * (-y / sigma), axis=1)
-    per_graph = float(np.max(np.abs(lhs_g - rhs_g)))
-
-    e_s_enum = float(np.mean(s_pair))
+    eq5 = {
+        name: abs(fsum_complex(w * eq5_g[name] / c3) - fsum_complex(w * w_all * f(w_all)))
+        for name, f in family.items()
+    }
+    per_graph = float(np.max(np.abs(gd_gap)))
+    e_s_enum = (c3 * s_same + 2 * tb.n_pairs * s_other) / (c3 + 2 * tb.n_pairs)
     e_s_analytic = c3 * (mom.var_x + 3.0 * (n - 3) * mom.cov_overlap2) / mom.var_t
-
-    # (iv) one pass over the pairs: each Y_{v,w} column feeds every h
-    h_family = {name: resolve_test_function(name) for name in f_family}
-    acc = {name: np.zeros(w.size, dtype=np.complex128) for name in h_family}
-    for m in range(tb.n_pairs):
-        v_idx, w_idx = tb.pair_v[m], tb.pair_w[m]
-        gdt = c3 * kappa / sigma**2 * x[:, v_idx] * x[:, w_idx]
-        y_pair = tb.ypair_columns(x, s, y, [m])[:, 0]
-        wpp = w_stat - y_pair / sigma
-        for name, h in h_family.items():
-            acc[name] += (gdt - s_pair[m]) * h(wpp)
-    weak = {name: abs(fsum_complex(w * a / (c3 * kappa))) for name, a in acc.items()}
+    weak = {name: abs(fsum_complex(w * a / (c3 * kappa))) for name, a in weak_g.items()}
 
     return CouplingReport(
         n=n,

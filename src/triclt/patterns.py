@@ -40,7 +40,7 @@ from .graphs import (
     triple_rank,
 )
 from .moments import exact_moments
-from .coupling import BLOCK, batch_edges, batch_se, phi_kernel, psi_kernel
+from .coupling import batch_edges, batch_se, graph_chunk, phi_kernel, psi_kernel
 from .sampler import gnp_edge_bits, stream_chunks
 from . import oracle as _oracle
 
@@ -356,8 +356,8 @@ def pattern_cov_check(
         tb = triple_basis(n)
         a = np.empty(samples, dtype=np.complex128)
         b = np.empty_like(a)
-        step = max(1, BLOCK // tb.n_triples)
-        for cfg_s, start, count, pos in stream_chunks(n, p, seed, samples, 1, step):
+        chunks = stream_chunks(n, p, seed, samples, 1, graph_chunk(tb.n_triples))
+        for cfg_s, start, count, pos in chunks:
             tri = tb.triangle_bits(gnp_edge_bits(cfg_s, start, count))
             a[pos : pos + count], b[pos : pos + count] = _pattern_arrays(cfg, n, tri, p, f)
         edges = batch_edges(samples)

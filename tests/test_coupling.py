@@ -149,13 +149,13 @@ def test_graph_conditional_matches_scalar_recomputation():
 
 
 def test_graph_conditional_over_several_pair_blocks():
-    # n = 8 on 2050 rows: BLOCK // 2050 = 127 of the 420 pairs with v < w per
-    # block, so four blocks, the last one partial.  The empty and complete
-    # graphs put K_{v,w} at both ends of its range, 0 and 2nu - n.
+    # n = 8 on 2050 rows: BLOCK // 2050 = 127 of the 420 pairs per block, so
+    # four blocks, the last one partial.  The empty and complete graphs put
+    # K_{v,w} at both ends of its range, 0 and 2nu - n.
     n, p, ts = 8, 0.7, [0.01, 1.3, 10.0]
     tb = triple_basis(n)
-    upper, step = np.count_nonzero(tb.pair_v < tb.pair_w), BLOCK // 2050
-    assert upper // step >= 2 and upper % step
+    step = BLOCK // 2050
+    assert tb.n_pairs // step >= 2 and tb.n_pairs % step
     edges = gnp_edge_bits(SamplerConfig(n=n, p=0.5, seed=21), 0, 2050)
     edges[0] = 0
     edges[-1] = 1

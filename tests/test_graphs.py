@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +22,7 @@ from triclt.graphs import (
     num_triples,
     triangle_count,
     triple_basis,
+    triple_rank,
     w_statistic,
 )
 from triclt.sampler import SamplerConfig, gnp_edge_bits, sample_gnp
@@ -300,37 +300,91 @@ def test_triple_basis_matches_scalar_functions():
     for m in range(tb.n_pairs):
         v = tb.triples[tb.pair_v[m]]
         w = tb.triples[tb.pair_w[m]]
-        ref = local_sum(g, p, v, None if w == v else w)
+        ref = local_sum(g, p, v, w)
         assert y_pair[0, m] == pytest.approx(ref, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_pair_list_is_symmetric(n):
-    # the halving in coupling.inner_terms: the pair list is closed under
-    # swapping, each unordered pair with v != w appears exactly twice, and
-    # Y_{v,w} == Y_{w,v} exactly, in float64 and in the int16 it runs on
-    tb = triple_basis(n)
-    pairs = list(zip(tb.pair_v.tolist(), tb.pair_w.tolist()))
-    index = {pair: k for k, pair in enumerate(pairs)}
-    assert len(index) == len(pairs)
-    assert set(pairs) == {(w, v) for v, w in pairs}
-    unordered = Counter(frozenset(pair) for pair in pairs if pair[0] != pair[1])
-    assert set(unordered.values()) == {2}
-    swap = np.array([index[(w, v)] for v, w in pairs])
+def _set_route_pair(v, w, n):
+    """(shared-edge rank, bridging triple ranks) of neighbours v, w from
+    vertex sets alone."""
+    a, b = sorted(set(v) & set(w))
+    (c,) = set(v) - {a, b}
+    (d,) = set(w) - {a, b}
+    return (
+        edge_rank((a, b), n),
+        triple_rank(tuple(sorted((a, c, d)))),
+        triple_rank(tuple(sorted((b, c, d)))),
+    )
 
+
+def _pair_rows(tb, idx):
+    cols = (tb.pair_v, tb.pair_w, tb.pair_shared, tb.pair_u1, tb.pair_u2)
+    return [tuple(row) for row in np.stack([c[idx] for c in cols], axis=1).tolist()]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_pair_list_holds_each_neighbour_pair_once(n):
+    # the set route: w in neighborhood(v), which includes v itself
+    tb = triple_basis(n)
+    assert [triple_rank(v) for v in tb.triples] == list(range(tb.n_triples))
+    relation = {
+        (triple_rank(v), triple_rank(w))
+        for v in combinations(range(n), 3)
+        for w in neighborhood(v, n)
+    }
+    pairs = list(zip(tb.pair_v.tolist(), tb.pair_w.tolist()))
+    diagonal = {(k, k) for k in range(tb.n_triples)}
+    assert set(pairs) | {(w, v) for v, w in pairs} | diagonal == relation
+    # once each, v < w, v-major then w in colex order
+    assert pairs == sorted((v, w) for v, w in relation if v < w)
+    assert tb.n_pairs == tb.n_triples * 3 * (n - 3) // 2
+    for v, w, shared, u1, u2 in _pair_rows(tb, slice(None)):
+        assert (shared, u1, u2) == _set_route_pair(tb.triples[v], tb.triples[w], n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_ypair_columns_match_set_based_local_sums(n):
+    # Y_{v,w} from the pair list equals the set-based sum over nu_v u nu_w
+    # taken either way round: on centred float64 rows, and as the count
+    # K_{v,w} on float64 bits and int16 bits
+    p = 0.3
+    tb = triple_basis(n)
+    nu2 = 2 * tb.nu_size - n
     edges = np.vstack([
         np.zeros((1, num_edges(n)), dtype=np.uint8),
         np.ones((1, num_edges(n)), dtype=np.uint8),
-        gnp_edge_bits(SamplerConfig(n=n, p=0.6, seed=n), 0, 64),
+        gnp_edge_bits(SamplerConfig(n=n, p=0.6, seed=n), 0, 4),
     ])
+    want = np.empty((len(edges), tb.n_pairs))
+    for row, bits in enumerate(edges):
+        g = Graph(n, sum(int(bit) << r for r, bit in enumerate(bits)))
+        for m, (v, w) in enumerate(zip(tb.pair_v.tolist(), tb.pair_w.tolist())):
+            v, w = tb.triples[v], tb.triples[w]
+            want[row, m] = local_sum(g, p, v, w)
+            assert local_sum(g, p, w, v) == want[row, m]
+    counts = np.rint(want + nu2 * p**3)
     tri = tb.triangle_bits(edges)
-    # centred rows in float64, and the bits themselves in float64 and int16
-    for rows, dtype in ((tb.x_matrix(tri, 0.3), np.float64), (tri, np.float64), (tri, np.int16)):
+    for rows, dtype in ((tb.x_matrix(tri, p), np.float64), (tri, np.float64), (tri, np.int16)):
         s, y = tb.y_matrix(rows.astype(np.float64))
         x, s, y = (a.astype(dtype) for a in (rows, s, y))
         y_pair = tb.ypair_columns(x, s, y, np.arange(tb.n_pairs))
         assert y_pair.dtype == dtype
-        assert np.array_equal(y_pair, y_pair[:, swap])
+        if rows is tri:
+            assert np.array_equal(y_pair, counts)
+        else:
+            assert np.max(np.abs(y_pair - want)) <= 1e-12
+
+
+def test_pair_list_at_n32_matches_set_route():
+    n = 32
+    tb = triple_basis(n)
+    assert tb.n_pairs == 215_760
+    assert np.all(np.diff(tb.pair_v * tb.n_triples + tb.pair_w) > 0)
+    picks = np.random.default_rng(32).choice(tb.n_pairs, size=200, replace=False)
+    for v, w, shared, u1, u2 in _pair_rows(tb, picks):
+        v, w = tb.triples[v], tb.triples[w]
+        assert triple_rank(v) < triple_rank(w) and w in neighborhood(v, n)
+        assert (shared, u1, u2) == _set_route_pair(v, w, n)
 
 
 def test_graph_immutable_and_validated():
