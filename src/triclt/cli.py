@@ -131,11 +131,11 @@ def sample_proxy_w(
 ) -> np.ndarray:
     """Standardised proxy draws (Y - EY)/sd(Y), exact proxy moments.
 
-    Chunks hold at least 128 samples and at most 2^22 pair counters; each
-    chunk is drawn group by group with a guide-table inverse CDF (see
-    `sampler.proxy_samples`), so its temporaries stay within a few MiB.
+    A draw takes one 53-bit key per label group, n - 2 in all (see
+    `sampler.proxy_samples`).  Chunks hold at most 2^19 keys, so their
+    int64 keys and searchsorted temporaries stay within a few MiB.
     n is capped at MAX_PROXY_N = 1031."""
-    step = max(128, (1 << 22) // (n * (n - 1) // 2))
+    step = max(1, (1 << 19) // (n - 2))
     chunks = stream_chunks(n, p, seed, samples, streams, step)
     rep = proxy_exact(n, p)
     out = np.empty(samples, dtype=np.float64)

@@ -148,10 +148,16 @@ def class_counts(n: int) -> np.ndarray:
     tb = triple_basis(n)
     arr = oracle_arrays(n)
     tri = arr.tri_bits
-    t_all = tri.sum(axis=1, dtype=np.intp)
-    k_0 = tri[:, np.append(0, tb.pair_w[tb.pair_v == 0])].sum(axis=1, dtype=np.intp)
+    t_all = tri.sum(axis=1, dtype=np.uint8)  # at most C(7,3) = 35
+    k_0 = tri[:, 0].copy()
+    for w in tb.pair_w[tb.pair_v == 0]:
+        k_0 += tri[:, w]
     shape = (num_edges(n) + 1, tb.n_triples + 1, 2, tb.nu_size + 1)
-    flat = np.ravel_multi_index((arr.popcount, t_all, tri[:, 0], k_0), shape)
+    # the C-order flat index of (popcount, t_all, bit 0, k_0), in place
+    flat = arr.popcount.astype(np.intp)
+    for extent, column in zip(shape[1:], (t_all, tri[:, 0], k_0)):
+        flat *= extent
+        flat += column
     counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     counts *= tb.n_triples
     counts.flags.writeable = False

@@ -20,16 +20,15 @@ error at any attainable sample count.
 The proxy model replaces each triangle indicator with I_{ij} * I_{ijk} where
 I_{ij} ~ Be(p) is owned by the two smallest labels of the triple and
 I_{ijk} ~ Be(p^2), all independent.  Given the pair (i, j), the inner sum
-over k is Binomial(n-1-j, p^2) (0-based labels), so one 53-bit key per
-(pair, sample) drives an exact inverse-CDF draw of the whole group.  The
-pairs are drawn group by group: the j pairs with larger label j mix only
-their own (j, samples) grid of counters, from a column and a row ramp, and
-look their keys up in a guide table cached per (group size, p^2).  The
-table compares integer keys with the thresholds ceil(cdf * 2^53), so each
-count equals the float search searchsorted(cdf, key / 2^53) bit for bit;
-the few keys in far-tail buckets take that search directly.  n is capped at
-MAX_PROXY_N = 1031, where the Binomial pmf's math.comb stops converting to
-float.
+over k is Binomial(m, p^2) with m = n-1-j (0-based labels), so the j pairs
+of larger label j form a group whose sum has the PGF
+[(1-p) + p (1-p^2+p^2 z)^m]^j, and Y is the sum of the independent groups
+j = 1..n-2.  Each group is drawn whole from one 53-bit key, by an inverse
+CDF over integer thresholds ceil(cdf * 2^53): n-2 keys a draw.  The group
+laws are raised from the one-pair pmf by FFT once per (n, p), each on a
+window that leaves out at most 2^-60 of either tail, far below what a
+53-bit key resolves.  n is capped at MAX_PROXY_N = 1031, where the Binomial
+pmf's math.comb stops converting to float.
 """
 
 from __future__ import annotations
@@ -51,11 +50,15 @@ _MIX2 = U64(0x94D049BB133111EB)
 
 # purpose tags keep independent uses of the same (seed, stream) decorrelated
 PURPOSE_GNP_EDGE = 0
-PURPOSE_PROXY_EDGE = 1
 PURPOSE_PROXY_GROUP = 2
 
 # counters per mixing block; see the module docstring
 _BLOCK = 1 << 16
+
+# tail mass that a proxy group table may leave out on each side, and the
+# exponents t > 0 of its Chernoff bound
+_TAIL = 2.0**-60
+_CHERNOFF_T = np.geomspace(1e-4, 64.0, 128)
 
 
 def _finalize(z: np.uint64) -> np.uint64:
@@ -194,88 +197,83 @@ def _binom_cdf(m: int, q: float) -> np.ndarray:
     math.comb(m, j) converts to float only for m < 1030; see MAX_PROXY_N."""
     pmf = [math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)]
     cdf = np.cumsum(np.array(pmf))
-    cdf[-1] = 1.0  # guard so inverse-CDF lookups never land past m
+    cdf[-1] = 1.0  # the last atom takes the rounding, so the atoms sum to 1
     cdf.setflags(write=False)  # the cached array is shared by every caller
     return cdf
 
 
-@lru_cache(maxsize=None)
-def _guide_table(m: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Guide table (Chen & Asau 1974) of the Binomial(m, q) inverse CDF over
-    53-bit keys k: the draw of key k is searchsorted(cdf, k / 2^53, "right").
+def _group_law(j: int, m: int, p: float) -> tuple[int, np.ndarray]:
+    """Law of one label group, S = sum of j independent I * Binomial(m, p^2)
+    with I ~ Be(p), on the window [lo, hi] of outcomes that holds all but
+    at most 2^-60 of each tail: returns (lo, pmf), pmf normalised to 1.
 
-    With the integer thresholds t_i = ceil(cdf_i * 2^53), cdf_i <= k / 2^53
-    exactly when t_i <= k, so the draw is the number of t_i <= k.  Keys fall
-    in 2^(bit_length(m) + 3) buckets by their top bits, 8 to 16 per outcome.
-    A bucket with at most one threshold answers base[b] + (k >= first[b]):
-    base is the draw at its lowest key and first the next threshold.  Where
-    a bucket holds two or more (the far tails), base is -2, so the sum stays
-    negative and flags the key for np.searchsorted(t, k, "right").  Returns
-    (shift, base, first, t), with bucket b = k >> shift.
+    The window comes from the Chernoff bound P[S >= a] <= E[e^(tS)] e^(-ta)
+    (and its mirror for the lower tail) minimised over a grid of t: the
+    FFT's rounding floor, ~1e-17 an atom, is far above 2^-60, so the tails
+    cannot be read off the computed pmf.  The pmf is the j-th power of the
+    one-pair pmf's DFT on the first power of 2 above hi.  What this drops
+    carries at most 2^-60: the group's outcomes above hi, which wrap onto
+    lower ones, and the one-pair atoms cropped above the DFT length, since a
+    pair never exceeds its group.
     """
-    t = np.ceil(_binom_cdf(m, q) * 2.0**53).astype(np.int64)
-    shift = 53 - (m.bit_length() + 3)
-    low = np.arange(1 << (53 - shift), dtype=np.int64) << shift
-    below = np.searchsorted(t, low, side="right")  # t_m = 2^53 > k, so <= m
-    within = np.searchsorted(t, low + ((1 << shift) - 1), side="right") - below
-    base = np.where(within >= 2, -2, below).astype(np.int32)
-    first = t[below]
-    for table in (base, first, t):
-        table.setflags(write=False)  # shared by every caller, like the cdf
-    return shift, base, first, t
+    t = _CHERNOFF_T
+    q = p * p
+
+    def cgf(s):  # log E[e^(sS)]
+        return j * np.logaddexp(math.log1p(-p), math.log(p) + m * np.log1p(q * np.expm1(s)))
+
+    tail = math.log(_TAIL)
+    lo = max(0, math.ceil(np.max((tail - cgf(-t)) / t)))
+    hi = min(j * m, math.floor(np.min((cgf(t) - tail) / t)))
+    size = 1 << hi.bit_length()  # a power of 2 above the window
+    one = p * np.diff(_binom_cdf(m, q), prepend=0.0)
+    one[0] += 1.0 - p
+    pmf = np.fft.irfft(np.fft.rfft(one, size) ** j, size)[lo : hi + 1]
+    np.clip(pmf, 0.0, None, out=pmf)
+    return lo, pmf / pmf.sum()
 
 
-def _inverse_cdf(table: tuple, keys: np.ndarray) -> np.ndarray:
-    """Draws, int32, of the 53-bit int64 `keys` from a _guide_table."""
-    shift, base, first, t = table
-    bucket = keys >> shift
-    draws = base[bucket]
-    draws += keys >= first[bucket]
-    tails = np.flatnonzero(draws < 0)
-    if tails.size:
-        draws.flat[tails] = np.searchsorted(t, keys.flat[tails], side="right")
-    return draws
+@lru_cache(maxsize=2)
+def _group_tables(n: int, p: float) -> tuple[tuple[int, np.ndarray], ...]:
+    """Inverse-CDF tables of the label groups j = 1..n-2, one (lo, t) each.
+
+    The draw of a 53-bit key k is lo + searchsorted(t, k, "right"), with the
+    integer thresholds t = ceil(cdf * 2^53) of the group's window, its last
+    outcome left out: cdf_i <= k / 2^53 exactly when t_i <= k.  Two (n, p)
+    are cached, so a run that alternates two sizes rebuilds neither; the
+    thresholds take 0.11 MiB at n = 64, 0.71 MiB at 128, 26 MiB at 512 and
+    154 MiB at 1031.
+    """
+    tables = []
+    for j in range(1, n - 1):
+        lo, pmf = _group_law(j, n - 1 - j, p)
+        t = np.ceil(np.cumsum(pmf)[:-1] * 2.0**53).astype(np.int64)
+        t.setflags(write=False)  # shared by every caller
+        tables.append((lo, t))
+    return tuple(tables)
 
 
 def proxy_samples(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
     """Draws of the proxy statistic Y for samples start..start+count-1.
 
-    Pair (i, j), i < j, owns the triples {i, j, k} with k > j, so its group
-    is I_{ij} * Binomial(n-1-j, p^2); groups are independent across pairs.
-    Pair (i, j) of sample s has counter s * C(n,2) + j(j-1)/2 + i, for its
-    edge bit and its group's key alike.  The j pairs of larger label j are
-    drawn together, as a (j, samples) grid of at most _BLOCK counters built
-    from a column and a row ramp, and looked up in one guide table.
+    Y is the sum of the independent label groups j = 1..n-2; group j of
+    sample s is drawn from one 53-bit key, at counter s * (n-2) + j - 1, by
+    the group's inverse-CDF table.  Row k is a pure function of
+    (cfg, start + k).
     """
     if start < 0 or count < 0:
         raise InputError("start and count must be >= 0")
-    n, p = cfg.n, cfg.p
+    n = cfg.n
     if n > MAX_PROXY_N:
         raise InputError(f"the proxy sampler needs n <= {MAX_PROXY_N}, got {n}")
-    npairs = num_edges(n)
-    edge_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_EDGE))
-    group_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP))
-    thresh = _threshold(p)
-
-    # GOLDEN * (counter - the grid's first counter) = column + row ramp
-    col_ramp = np.arange(n - 1, dtype=np.uint64)[:, None] * _GOLDEN
-    row_ramp = np.arange(0, count * npairs, npairs, dtype=np.uint64) * _GOLDEN
-    y = np.zeros(count, dtype=np.int64)
-    for j in range(1, n - 1):  # the pairs of label n-1 own no triples
-        table = _guide_table(n - 1 - j, p * p)
-        rows = max(1, _BLOCK // j)
-        for r0 in range(0, count, rows):
-            r1 = min(r0 + rows, count)
-            ramp = col_ramp[:j] + row_ramp[: r1 - r0]
-            origin = int(_GOLDEN) * ((start + r0) * npairs + j * (j - 1) // 2)
-            z = ramp + U64((edge_key + origin) & _MASK64)
-            work = np.empty_like(z)
-            _mix(z, work)
-            edge_on = z < thresh
-            np.add(ramp, U64((group_key + origin) & _MASK64), out=z)
-            _mix(z, work)
-            np.right_shift(z, U64(11), out=z)  # 53-bit keys
-            draws = _inverse_cdf(table, z.view(np.int64))
-            draws *= edge_on
-            y[r0:r1] += draws.sum(axis=0)
+    tables = _group_tables(n, cfg.p)
+    key = derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP)
+    groups = n - 2
+    keys = np.empty(count * groups, dtype=np.uint64)
+    for lo, hi, z in _mixed_blocks(key, range(start * groups, (start + count) * groups)):
+        np.right_shift(z, U64(11), out=keys[lo:hi])
+    keys = keys.view(np.int64).reshape(count, groups).T
+    y = np.full(count, sum(lo for lo, _ in tables), dtype=np.int64)
+    for (_, t), k in zip(tables, keys):
+        y += np.searchsorted(t, k, side="right")
     return y

@@ -10,19 +10,18 @@ import pytest
 
 from triclt.cli import sample_proxy_w, sample_w
 from triclt.errors import ConfigError, InputError
-from conftest import proxy_brute_force_pmf
+from conftest import proxy_brute_force_pmf, proxy_exact_pmf
 from triclt.graphs import MAX_PROXY_N, num_edges
 from triclt.moments import proxy_exact
 from triclt.sampler import (
     PURPOSE_GNP_EDGE,
-    PURPOSE_PROXY_EDGE,
     PURPOSE_PROXY_GROUP,
     SamplerConfig,
     _BLOCK,
     _binom_cdf,
     _finalize,
-    _guide_table,
-    _inverse_cdf,
+    _group_law,
+    _group_tables,
     _threshold,
     derive_key,
     gnp_edge_bits,
@@ -139,15 +138,16 @@ def test_blocked_edge_bits_equal_one_shot(n, start, count, p):
     assert np.array_equal(got, want.reshape(count, ne))
 
 
-# sha256 of the W bytes, computed before the mixing was blocked: a change to
-# any sample stream must update these deliberately
+# sha256 of the W bytes (w64 and w256_streams2 from before the mixing was
+# blocked, proxy128 from the one-key-per-group draw): a change to any sample
+# stream must update these deliberately
 STREAM_PINS = [
     (lambda: sample_w(64, 0.5, 3000, 7),
      "ac154838d5a43a06be663221ea9f28696b23ca4d1ab8e4f6ece285bcc5b00401"),
     (lambda: sample_w(256, 256**-0.6, 70, 7, streams=2),
      "9add02b21e8c79ca8c48893b44bf1e8de4d957c14d56bb8433141d0140795049"),
     (lambda: sample_proxy_w(128, 0.5, 600, 7),
-     "8aa248daf4bc5a37ddc958e35fc601a225dee4dc7c5118065a80ba535aa9495a"),
+     "83b6928c72cb745633c0cdc311a11487ee2a0fae4032df54c71931dc043531c0"),
 ]
 
 
@@ -216,13 +216,14 @@ def test_proxy_sample_matches_brute_force_law():
 
 
 def test_proxy_binomial_cdfs_stay_cached():
-    # n = 128 needs 126 group sizes; a second call rebuilds none of them
+    # n = 128 needs 126 group tables; a second call rebuilds none of them
     cfg = SamplerConfig(n=128, p=0.5, seed=3)
+    _group_tables.cache_clear()
     _binom_cdf.cache_clear()
     proxy_samples(cfg, 0, 2)
-    misses = _binom_cdf.cache_info().misses
+    misses = _binom_cdf.cache_info().misses, _group_tables.cache_info().misses
     proxy_samples(cfg, 2, 2)
-    assert _binom_cdf.cache_info().misses == misses
+    assert (_binom_cdf.cache_info().misses, _group_tables.cache_info().misses) == misses
 
 
 def test_proxy_single_draw_determinism():
@@ -231,28 +232,77 @@ def test_proxy_single_draw_determinism():
     assert proxy_samples(cfg, 11, 1)[0] == proxy_samples(cfg, 0, 12)[11]
 
 
+def mixture_group_pmf(j: int, m: int, p: float) -> np.ndarray:
+    """Law of the sum of j pairs, each I * Binomial(m, p^2) with I ~ Be(p),
+    as a mixture over the number N of pairs present:
+    sum_N C(j, N) p^N (1-p)^(j-N) Binomial(N m, p^2)."""
+    q = p * p
+    pmf = [0.0] * (j * m + 1)
+    for big_n in range(j + 1):
+        w = math.comb(j, big_n) * p**big_n * (1 - p) ** (j - big_n)
+        trials = big_n * m
+        for k in range(trials + 1):
+            pmf[k] += w * math.comb(trials, k) * q**k * (1 - q) ** (trials - k)
+    return np.array(pmf)
+
+
+def table_law(lo: int, t: np.ndarray) -> np.ndarray:
+    """The law that a group table draws from uniform 53-bit keys, from
+    outcome 0 up: outcome lo + i takes the keys t_(i-1) <= k < t_i."""
+    edges = np.concatenate([[0], t, [2**53]]).astype(np.float64)
+    return np.concatenate([np.zeros(lo), np.diff(edges) / 2**53])
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+def test_group_tables_match_mixture_law(p):
+    for n in range(3, 10):
+        for j, (lo, t) in enumerate(_group_tables(n, p), start=1):
+            want = mixture_group_pmf(j, n - 1 - j, p)
+            got = table_law(lo, t)
+            assert got.size <= want.size
+            got = np.pad(got, (0, want.size - got.size))
+            assert np.abs(got - want).max() < 1e-12, (n, j)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_group_tables_convolve_to_exact_proxy_law(n):
+    p = 0.5
+    law = np.ones(1)
+    for lo, t in _group_tables(n, p):
+        law = np.convolve(law, table_law(lo, t))
+    want = proxy_exact_pmf(n, p)
+    assert law.size <= want.size
+    assert np.abs(np.pad(law, (0, want.size - law.size)) - want).max() < 1e-12
+
+
+def test_group_laws_at_n512_keep_mass_and_moments():
+    n, p = 512, 0.5
+    q = p * p
+    for j in range(1, n - 1):
+        m = n - 1 - j
+        lo, pmf = _group_law(j, m, p)
+        k = np.arange(lo, lo + pmf.size, dtype=np.float64)
+        mean = j * p * m * q
+        var = j * (p * m * q * (1 - q) + p * (1 - p) * (m * q) ** 2)
+        assert abs(math.fsum(pmf) - 1.0) <= 2.0**-52, j
+        assert math.fsum(k * pmf) == pytest.approx(mean, rel=1e-9), j
+        assert math.fsum((k - mean) ** 2 * pmf) == pytest.approx(var, rel=1e-9), j
+
+
 def reference_proxy_samples(cfg: SamplerConfig, start: int, count: int) -> np.ndarray:
-    """Proxy draws one pair at a time in pure Python: each counter is mixed
-    by the scalar splitmix64 and each group drawn by bisect on its cdf."""
+    """Proxy draws one group at a time in pure Python: each group's counter
+    s(n-2) + j-1 is mixed by the scalar splitmix64, and its 53-bit key
+    drawn by bisect on the group's thresholds."""
     n, golden = cfg.n, 0x9E3779B97F4A7C15
-    npairs = num_edges(n)
-    edge_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_EDGE))
-    group_key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP))
-    thresh = int(_threshold(cfg.p))
-
-    def word(key, counter):
-        return int(_finalize(np.uint64((key + golden * counter) % 2**64)))
-
+    key = int(derive_key(cfg.seed, cfg.stream, PURPOSE_PROXY_GROUP))
+    tables = [(lo, t.tolist()) for lo, t in _group_tables(n, cfg.p)]
     ys = []
     for s in range(start, start + count):
         y = 0
-        for j in range(1, n - 1):
-            cdf = list(_binom_cdf(n - 1 - j, cfg.p * cfg.p))
-            for i in range(j):
-                counter = s * npairs + j * (j - 1) // 2 + i
-                if word(edge_key, counter) < thresh:
-                    u = (word(group_key, counter) >> 11) / 2**53
-                    y += bisect.bisect_right(cdf, u)
+        for j, (lo, t) in enumerate(tables, start=1):
+            counter = s * (n - 2) + j - 1
+            word = int(_finalize(np.uint64((key + golden * counter) % 2**64)))
+            y += lo + bisect.bisect_right(t, word >> 11)
         ys.append(y)
     return np.array(ys)
 
@@ -270,22 +320,13 @@ def test_proxy_samples_equal_pure_python_reference(n, p, seed, stream, start, co
     assert np.array_equal(proxy_samples(cfg, start, count), want)
 
 
-def test_guide_table_equals_searchsorted():
-    # keys at and beside every threshold t_i = ceil(cdf_i 2^53), the ends of
-    # the key range, and random keys
-    rng = np.random.default_rng(12)
-    tail_keys = 0
-    for q in (1e-12, 1e-4, 0.01, 0.25, 0.49, 0.81, 0.999999):
-        for m in range(1, 201):
-            table = _guide_table(m, q)
-            shift, base, _, t = table
-            keys = np.concatenate([[0, 2**53 - 1], t - 1, t, t + 1,
-                                   rng.integers(0, 2**53, 500)])
-            keys = keys[(keys >= 0) & (keys < 2**53)]
-            want = np.searchsorted(_binom_cdf(m, q), keys / 2**53, side="right")
-            assert np.array_equal(_inverse_cdf(table, keys), want), (m, q)
-            tail_keys += np.count_nonzero(base[keys >> shift] < 0)
-    assert tail_keys > 0  # the np.searchsorted fallback was taken
+def test_proxy_rows_do_not_depend_on_the_batch():
+    # rows 500..539 at n = 128 straddle a mixing-block boundary
+    cfg = SamplerConfig(n=128, p=0.5, seed=11, stream=1)
+    assert 500 * 126 // _BLOCK != (540 * 126 - 1) // _BLOCK
+    whole = proxy_samples(cfg, 0, 600)
+    assert np.array_equal(proxy_samples(cfg, 500, 40), whole[500:540])
+    assert np.array_equal(proxy_samples(cfg, 537, 1), whole[537:538])
 
 
 def test_proxy_size_bound():
