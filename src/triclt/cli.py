@@ -134,7 +134,8 @@ def sample_proxy_w(
     A draw takes one 53-bit key per label group, n - 2 in all (see
     `sampler.proxy_samples`).  Chunks hold at most 2^19 keys, so their
     int64 keys and searchsorted temporaries stay within a few MiB.
-    n is capped at MAX_PROXY_N = 1031."""
+    The sampler refuses n > sampler.MAX_PROXY_N = 1031, where its group
+    tables would pass 154 MiB; `proxy_exact` takes any n >= 4."""
     step = max(1, (1 << 19) // (n - 2))
     chunks = stream_chunks(n, p, seed, samples, streams, step)
     rep = proxy_exact(n, p)
@@ -391,12 +392,14 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
                         rep.per_graph_gd_residual,
                         abs(rep.e_s_enumerated - 1.0),
                         max(rep.weak_extended_residuals.values()),
+                        abs(rep.e_gd_enumerated - 1.0),
                     ),
                     extra={
                         "eq5": {k: v for k, v in rep.eq5_residuals.items()},
                         "per_graph_gd": rep.per_graph_gd_residual,
                         "e_s": rep.e_s_enumerated,
                         "weak": {k: v for k, v in rep.weak_extended_residuals.items()},
+                        "e_gd": rep.e_gd_enumerated,
                     },
                     timing=timing,
                 )

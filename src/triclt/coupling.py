@@ -186,10 +186,11 @@ def term_tables(n: int, p: float, t_grid: Sequence[float]) -> dict:
 
 
 def inner_terms(
-    x: np.ndarray, n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
+    bits: np.ndarray, n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
 ) -> dict:
     """Inner expectations over (V, V') given the graph, one per row of the
-    centred-indicator block x (graphs x triples), with s = sd(T):
+    triangle-bit block `bits` (graphs x triples, uint8 0/1, as from
+    `TripleBasis.triangle_bits`), with X_v = b_v - p^3 and s = sd(T):
 
         r1  -> E^g[|G| D^2]             = (1/s^3) sum_v |X_v| Y_v^2
         r2  -> E^g[G (e^{itD} - 1)]     = -(1/s) sum_v X_v (e^{-itY_v/s} - 1)
@@ -220,19 +221,18 @@ def inner_terms(
     `terms` names the components wanted.  Each comes back as a real (m,)
     array, or for the per-t components a complex (m, len(t_grid)) array.  Pair
     counts run over blocks of pairs, so memory is O(m * n_triples + BLOCK).
-    Raises InputError unless every entry of x is -p^3 or 1 - p^3 (to 1e-12).
+    Raises InputError unless bits is a 2-D uint8 array of 0s and 1s with
+    C(n, 3) columns.
     """
     terms = set(terms)
     if not terms <= set(COMPONENTS):
         raise InputError(f"unknown components {sorted(terms - set(COMPONENTS))}")
     tb = triple_basis(n)
-    if x.ndim != 2 or x.shape[1] != tb.n_triples:
-        raise InputError(f"x must have {tb.n_triples} columns for n={n}")
-    bits = x + p**3
-    if not np.all(np.abs(np.abs(bits - 0.5) - 0.5) <= 1e-12):
-        raise InputError("x must hold centred triangle indicators: -p^3 or 1 - p^3")
-    bits = np.rint(bits)
-    m = x.shape[0]
+    if bits.dtype != np.uint8 or bits.ndim != 2 or bits.shape[1] != tb.n_triples:
+        raise InputError(f"bits must be 2-D uint8 with {tb.n_triples} columns for n={n}")
+    if np.any(bits > 1):
+        raise InputError("bits must hold triangle bits: 0 or 1")
+    m = bits.shape[0]
     nu = tb.nu_size
     nu2 = 2 * nu - n
     tables = term_tables(n, p, t_grid)
@@ -356,8 +356,7 @@ def estimate_r(
     for cfg, start, count, pos in chunks:
         tri = tb.triangle_bits(gnp_edge_bits(cfg, start, count))
         w[pos : pos + count] = (tri.sum(axis=1, dtype=np.int64) - mom.mean_t) / mom.sigma
-        x = tb.x_matrix(tri, p)
-        for c, values in inner_terms(x, n, p, t_grid, terms).items():
+        for c, values in inner_terms(tri, n, p, t_grid, terms).items():
             accs[c].add(pos, values)
 
     def est(value, se, t=None) -> RTermEstimate:

@@ -354,9 +354,6 @@ SPARSE_DENSITY = 0.125
 # The dense kernel's float32 row sums are at most C(n-1, 2), exact while
 # that is < 2^24.
 MAX_COUNT_N = 5794
-# The proxy model's Binomial(m, p^2) pmf multiplies a float by math.comb(m, j),
-# which exceeds DBL_MAX from m = 1030 on; its groups have m <= n - 2.
-MAX_PROXY_N = 1031
 
 
 def batch_triangle_counts(edge_bits: np.ndarray, n: int) -> np.ndarray:

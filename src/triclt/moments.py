@@ -26,7 +26,6 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import InputError, NumericError
-from .graphs import MAX_PROXY_N
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -313,6 +312,27 @@ class ProxyReport:
     be_bound: float       # n^2 gamma / s^3 with C = 1, s^2 = var_y
 
 
+def binom_pmf(m: int, q: float) -> np.ndarray:
+    """Binomial(m, q) pmf as a length-(m+1) float64 array, for 0 < q < 1.
+
+    Log space, outward from the mode: log(pmf[j+1]/pmf[j]) is
+    log((m-j)/(j+1)) + log(q/(1-q)), so cumulative sums of these ratios
+    give every log-atom relative to the mode's.  They are exponentiated
+    (the mode's atom is 1, so nothing overflows) and normalised.  No
+    binomial coefficient is formed, so any m works.
+    """
+    if m < 0 or not 0.0 < q < 1.0:
+        raise InputError(f"need m >= 0 and 0 < q < 1, got m={m}, q={q}")
+    mode = int((m + 1) * q)
+    j = np.arange(m)
+    step = np.log((m - j) / (j + 1.0)) + (math.log(q) - math.log1p(-q))
+    log_pmf = np.zeros(m + 1)
+    log_pmf[mode + 1 :] = np.cumsum(step[mode:])
+    log_pmf[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    pmf = np.exp(log_pmf)
+    return pmf / pmf.sum()
+
+
 def proxy_exact(n: int, p: float) -> ProxyReport:
     """Exact moments of the proxy statistic Y = sum_{i<j<k} I_ij I_ijk.
 
@@ -320,11 +340,9 @@ def proxy_exact(n: int, p: float) -> ProxyReport:
     they share their owning pair, giving sum_j j (n-1-j)(n-2-j) ordered
     covarying pairs (0-based j); this differs from the C(n,3)(n-3) count of
     the display formula, which is only order-correct and is reported
-    separately for comparison.  n is capped at MAX_PROXY_N, where the
-    Binomial(n-2, p^2) pmf's math.comb stops converting to float.
+    separately for comparison.  gamma sums |I B - (n-2) p^3|^3 against the
+    Binomial(n-2, p^2) pmf of `binom_pmf`, so any n >= 4 works.
     """
-    if n > MAX_PROXY_N:
-        raise InputError(f"proxy moments need n <= {MAX_PROXY_N}, got {n}")
     mom = exact_moments(n, p)
     if n < 4:
         raise InputError("proxy moments need n >= 4")
@@ -335,13 +353,9 @@ def proxy_exact(n: int, p: float) -> ProxyReport:
     var_display = c3 * (var_x + (n - 3) * cov2)
 
     m = n - 2
-    q = p * p
     center = m * p**3
     tail = (1.0 - p) * center**3
-    body = p * math.fsum(
-        math.comb(m, j) * q**j * (1.0 - q) ** (m - j) * abs(j - center) ** 3
-        for j in range(m + 1)
-    )
+    body = p * math.fsum(binom_pmf(m, p * p) * np.abs(np.arange(m + 1) - center) ** 3)
     gamma = tail + body
     s = math.sqrt(var_y)
     return ProxyReport(

@@ -260,9 +260,9 @@ def _per_graph_terms(
     }
     step = graph_chunk(tb.n_triples)
     for lo in range(0, size, step):
-        x = tb.x_matrix(arr.tri_bits[lo : lo + step], p)
-        for name, values in inner_terms(x, n, p, t_grid, terms).items():
-            out[name][lo : lo + len(x)] = values
+        bits = arr.tri_bits[lo : lo + step]
+        for name, values in inner_terms(bits, n, p, t_grid, terms).items():
+            out[name][lo : lo + len(bits)] = values
     return out
 
 
@@ -333,6 +333,7 @@ class CouplingReport:
     e_s_enumerated: float
     e_s_analytic: float
     weak_extended_residuals: dict  # h name -> |E[(G D~ - S) h(W'')]|
+    e_gd_enumerated: float         # E[G D~] = Var T / s^2 = 1, pair-weighted as (iv)
 
 
 def verify_couplings(
@@ -348,7 +349,10 @@ def verify_couplings(
 
     Chunks of graphs take all V at once.  V' = V gives W'' = W'; any other
     pair, its summand symmetric, comes once from the pair list with weight 2,
-    in blocks of at most coupling.BLOCK (graph, pair) elements.
+    in blocks of at most coupling.BLOCK (graph, pair) elements.  Each
+    summand of (iv) has mean zero on its own, so a wrong pair weight would
+    not show there; E[G D~], summed over the same pairs with the same
+    weights, should be Var T / s^2 = 1 and is reported as e_gd_enumerated.
     """
     _check_capacity(n, limit=6)
     arr = oracle_arrays(n)
@@ -369,6 +373,8 @@ def verify_couplings(
     eq5_g = {name: np.empty(w.size, dtype=np.complex128) for name in family}
     weak_g = {name: np.empty(w.size, dtype=np.complex128) for name in family}
     gd_gap = np.empty(w.size)
+    gd_g = np.empty(w.size)  # the sum of G D~ over (V, V')
+    pair_weight = 2.0  # a listed pair {V, V'} stands for (V, V') and (V', V)
     chunk = graph_chunk(c3)
     for lo in range(0, w.size, chunk):
         rows = slice(lo, lo + chunk)
@@ -380,18 +386,21 @@ def verify_couplings(
         # (ii) both sides per graph, each by its own literal average
         lhs_g = np.sum(g_over_v * (-(kappa / sigma) * (x @ nbr)), axis=1) / (c3 * kappa)
         gd_gap[rows] = lhs_g - np.mean(g_over_v * (-y / sigma), axis=1)
+        gd_same = scale * x * x  # G D~ on the pairs with V' = V
+        gd_g[rows] = np.sum(gd_same, axis=1)
         for name, f in family.items():
             f_prime = f(w_prime)
             eq5_g[name][rows] = np.sum(g_over_v * (f_prime - f(w_stat)), axis=1)
-            weak_g[name][rows] = np.sum((scale * x * x - s_same) * f_prime, axis=1)
+            weak_g[name][rows] = np.sum((gd_same - s_same) * f_prime, axis=1)
         # (iv) on the other pairs: each block of Y_{v,w} columns feeds every h
         step = max(1, BLOCK // len(x))
         for first in range(0, tb.n_pairs, step):
             pairs = slice(first, first + step)
             gdt = scale * x[:, tb.pair_v[pairs]] * x[:, tb.pair_w[pairs]]
             wpp = w_stat - tb.ypair_columns(x, s, y, pairs) / sigma
+            gd_g[rows] += pair_weight * np.sum(gdt, axis=1)
             for name, h in family.items():
-                weak_g[name][rows] += 2.0 * np.sum((gdt - s_other) * h(wpp), axis=1)
+                weak_g[name][rows] += pair_weight * np.sum((gdt - s_other) * h(wpp), axis=1)
 
     eq5 = {
         name: abs(fsum_complex(w * eq5_g[name] / c3) - fsum_complex(w * w_all * f(w_all)))
@@ -401,6 +410,7 @@ def verify_couplings(
     e_s_enum = (c3 * s_same + 2 * tb.n_pairs * s_other) / (c3 + 2 * tb.n_pairs)
     e_s_analytic = c3 * (mom.var_x + 3.0 * (n - 3) * mom.cov_overlap2) / mom.var_t
     weak = {name: abs(fsum_complex(w * a / (c3 * kappa))) for name, a in weak_g.items()}
+    e_gd = math.fsum(w * gd_g) / (c3 * kappa)
 
     return CouplingReport(
         n=n,
@@ -410,6 +420,7 @@ def verify_couplings(
         e_s_enumerated=e_s_enum,
         e_s_analytic=e_s_analytic,
         weak_extended_residuals=weak,
+        e_gd_enumerated=e_gd,
     )
 
 

@@ -27,8 +27,9 @@ j = 1..n-2.  Each group is drawn whole from one 53-bit key, by an inverse
 CDF over integer thresholds ceil(cdf * 2^53): n-2 keys a draw.  The group
 laws are raised from the one-pair pmf by FFT once per (n, p), each on a
 window that leaves out at most 2^-60 of either tail, far below what a
-53-bit key resolves.  n is capped at MAX_PROXY_N = 1031, where the Binomial
-pmf's math.comb stops converting to float.
+53-bit key resolves; the one-pair pmf is p * `moments.binom_pmf`(m, p^2)
+plus the 1 - p of an absent pair at 0.  n is capped at MAX_PROXY_N = 1031
+by the tables' memory (see there).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graphs import MAX_PROXY_N, Graph, num_edges
+from .graphs import Graph, num_edges
+from .moments import binom_pmf
 
 U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -59,6 +61,10 @@ _BLOCK = 1 << 16
 # exponents t > 0 of its Chernoff bound
 _TAIL = 2.0**-60
 _CHERNOFF_T = np.geomspace(1e-4, 64.0, 128)
+
+# largest n the proxy sampler accepts: its group tables hold 154 MiB of
+# thresholds at n = 1031, and their size grows about as n^2.5
+MAX_PROXY_N = 1031
 
 
 def _finalize(z: np.uint64) -> np.uint64:
@@ -191,17 +197,6 @@ def sample_gnp(cfg: SamplerConfig, index: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _binom_cdf(m: int, q: float) -> np.ndarray:
-    """CDF of Binomial(m, q) as a length-(m+1) array (exact comb-based pmf).
-    math.comb(m, j) converts to float only for m < 1030; see MAX_PROXY_N."""
-    pmf = [math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)]
-    cdf = np.cumsum(np.array(pmf))
-    cdf[-1] = 1.0  # the last atom takes the rounding, so the atoms sum to 1
-    cdf.setflags(write=False)  # the cached array is shared by every caller
-    return cdf
-
-
 def _group_law(j: int, m: int, p: float) -> tuple[int, np.ndarray]:
     """Law of one label group, S = sum of j independent I * Binomial(m, p^2)
     with I ~ Be(p), on the window [lo, hi] of outcomes that holds all but
@@ -226,7 +221,7 @@ def _group_law(j: int, m: int, p: float) -> tuple[int, np.ndarray]:
     lo = max(0, math.ceil(np.max((tail - cgf(-t)) / t)))
     hi = min(j * m, math.floor(np.min((cgf(t) - tail) / t)))
     size = 1 << hi.bit_length()  # a power of 2 above the window
-    one = p * np.diff(_binom_cdf(m, q), prepend=0.0)
+    one = p * binom_pmf(m, q)
     one[0] += 1.0 - p
     pmf = np.fft.irfft(np.fft.rfft(one, size) ** j, size)[lo : hi + 1]
     np.clip(pmf, 0.0, None, out=pmf)

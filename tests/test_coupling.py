@@ -24,6 +24,7 @@ from triclt.graphs import (
     Graph,
     all_triples,
     centered_indicator,
+    has_triangle,
     local_sum,
     neighborhood,
     num_edges,
@@ -73,27 +74,26 @@ def test_psi_kernel_lipschitz_one():
 # ---------------------------------------------------------------------------
 
 
-def _x_rows(cfg: SamplerConfig, start: int, count: int):
-    tb = triple_basis(cfg.n)
-    return tb.x_matrix(tb.triangle_bits(gnp_edge_bits(cfg, start, count)), cfg.p)
+def _bit_rows(cfg: SamplerConfig, start: int, count: int):
+    return triple_basis(cfg.n).triangle_bits(gnp_edge_bits(cfg, start, count))
 
 
 def test_graph_conditional_empty_graph_closed_form():
     n, p, t = 5, 0.3, 1.0
     mom = exact_moments(n, p)
     tb = triple_basis(n)
-    x = tb.x_matrix(tb.triangle_bits(np.zeros((1, num_edges(n)), dtype=np.uint8)), p)
+    bits = tb.triangle_bits(np.zeros((1, num_edges(n)), dtype=np.uint8))
     kappa = 3 * (n - 3) + 1
     # all X_v = -p^3 and Y_v = -kappa p^3
     phase = np.exp(1j * t * kappa * p**3 / mom.sigma) - 1.0
     expect = -(num_triples(n) * -(p**3) * phase) / mom.sigma
-    got = inner_terms(x, n, p, [t], ("r2",))["r2"][0, 0]
+    got = inner_terms(bits, n, p, [t], ("r2",))["r2"][0, 0]
     assert got == pytest.approx(complex(expect), abs=1e-13)
 
 
 def test_graph_conditional_r41_is_second_order_in_t():
-    x = _x_rows(SamplerConfig(n=6, p=0.4, seed=2), 0, 1)
-    v2, v3 = np.abs(inner_terms(x, 6, 0.4, [1e-2, 1e-3], ("r41",))["r41"][0])
+    bits = _bit_rows(SamplerConfig(n=6, p=0.4, seed=2), 0, 1)
+    v2, v3 = np.abs(inner_terms(bits, 6, 0.4, [1e-2, 1e-3], ("r41",))["r41"][0])
     assert v2 / v3 == pytest.approx(100.0, rel=0.05)
 
 
@@ -139,8 +139,10 @@ def test_graph_conditional_matches_scalar_recomputation():
         cfg = SamplerConfig(n=n, p=p, seed=8)
         named = {"empty": Graph.empty(n), "complete": Graph.complete(n)}
         graphs = [named[d] if d in named else sample_gnp(cfg, d) for d in draws]
-        x = np.array([[centered_indicator(g, p, v) for v in all_triples(n)] for g in graphs])
-        got = inner_terms(x, n, p, ts, COMPONENTS)
+        bits = np.array(
+            [[has_triangle(g, v) for v in all_triples(n)] for g in graphs], dtype=np.uint8
+        )
+        got = inner_terms(bits, n, p, ts, COMPONENTS)
         for row, g in enumerate(graphs):
             direct = _scalar_components(g, p, ts)
             for name in COMPONENTS:
@@ -159,11 +161,11 @@ def test_graph_conditional_over_several_pair_blocks():
     edges = gnp_edge_bits(SamplerConfig(n=n, p=0.5, seed=21), 0, 2050)
     edges[0] = 0
     edges[-1] = 1
-    x = tb.x_matrix(tb.triangle_bits(edges), p)
-    got = inner_terms(x, n, p, ts, COMPONENTS)
+    bits = tb.triangle_bits(edges)
+    got = inner_terms(bits, n, p, ts, COMPONENTS)
     # rows in one block of pairs: the same counts, so the same values
     few = [0, 1, 1025, 2049]
-    alone = inner_terms(x[few], n, p, ts, COMPONENTS)
+    alone = inner_terms(bits[few], n, p, ts, COMPONENTS)
     for name in COMPONENTS:
         assert np.max(np.abs(got[name][few] - alone[name])) <= 1e-12, name
     for row in few[:1] + few[-2:]:
@@ -175,30 +177,31 @@ def test_graph_conditional_over_several_pair_blocks():
 
 
 def test_graph_conditional_rejects_non_indicator_rows():
+    # only 2-D uint8 rows of 0/1 triangle bits, C(n,3) to a row, are taken
     n, p = 5, 0.3
-    x = _x_rows(SamplerConfig(n=n, p=p, seed=8), 0, 3)
-    # rounding noise well inside the 1e-12 slack leaves every component as is
-    noisy = x + 1e-13 * np.random.default_rng(0).uniform(-1.0, 1.0, x.shape)
-    want = inner_terms(x, n, p, [1.3], COMPONENTS)
-    for name, values in inner_terms(noisy, n, p, [1.3], COMPONENTS).items():
-        assert np.array_equal(values, want[name]), name
-    arbitrary = np.random.default_rng(1).normal(size=x.shape)
-    off_by_one_entry = x.copy()
-    off_by_one_entry[1, 4] += 1e-9
-    not_a_bit = np.full_like(x, 2.0 - p**3)
-    not_a_number = x.copy()
-    not_a_number[2, 0] = np.nan
-    for bad in (arbitrary, off_by_one_entry, not_a_bit, not_a_number):
+    bits = _bit_rows(SamplerConfig(n=n, p=p, seed=8), 0, 3)
+    assert inner_terms(bits, n, p, [1.3], ("r2",))["r2"].shape == (3, 1)
+    not_a_bit = bits.copy()
+    not_a_bit[1, 4] = 2
+    centred = bits - p**3
+    for bad in (
+        not_a_bit,
+        centred,
+        bits.astype(np.float64),
+        bits.astype(np.int16),
+        bits.astype(bool),
+        bits[0],
+        bits[None],
+        bits[:, :9],
+    ):
         with pytest.raises(InputError):
             inner_terms(bad, n, p, [1.3], ("r2",))
-    with pytest.raises(InputError):
-        inner_terms(x[:, :9], n, p, [1.3], ("r2",))
 
 
 def test_graph_conditional_variance_matches_exact_r2():
     # Var over graphs of the r2 conditional reproduces the exact r2 numerator
     n, p, t = 5, 0.3, 1.0
-    vals = inner_terms(_x_rows(SamplerConfig(n=n, p=p, seed=13), 0, 800), n, p, [t], ("r2",))
+    vals = inner_terms(_bit_rows(SamplerConfig(n=n, p=p, seed=13), 0, 800), n, p, [t], ("r2",))
     vals = vals["r2"][:, 0]
     exact_num = exact_r_terms(n, p, [t]).r2_by_t[t] * abs(t)  # sqrt of the variance
     # crude MC check on 800 graphs: sd of |centered| values within 25%
@@ -278,7 +281,7 @@ def test_family_se_from_batch_values():
     est = estimate_r(n, p, m, ts, ("r3", "r4"), seed)
     tb = triple_basis(n)
     tri = tb.triangle_bits(gnp_edge_bits(SamplerConfig(n=n, p=p, seed=seed), 0, m))
-    g = inner_terms(tb.x_matrix(tri, p), n, p, ts, ("r1", "r32", "r33", "r41", "r42", "r43"))
+    g = inner_terms(tri, n, p, ts, ("r1", "r32", "r33", "r41", "r42", "r43"))
     edges = batch_edges(m)
     batches = [{c: z[lo:hi] for c, z in g.items()} for lo, hi in zip(edges[:-1], edges[1:])]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -12,6 +13,7 @@ from triclt.errors import InputError, NumericError
 from triclt.moments import (
     BoundInputs,
     Lemma2Params,
+    binom_pmf,
     complex_stats,
     dawson,
     dk_from_dw,
@@ -480,6 +482,57 @@ def test_proxy_gamma_matches_direct_expectation():
     assert rep.be_bound == pytest.approx(
         n * n * rep.gamma / rep.var_y**1.5, rel=1e-14
     )
+
+
+def exact_binom_pmf(m: int, q: Fraction) -> tuple[list[int], int]:
+    """Binomial(m, q) pmf in exact rationals, as integer numerators over one
+    denominator, by the integer recurrence
+    C(m, j+1) a^(j+1) b^(m-j-1) = C(m, j) a^j b^(m-j) (m-j) a / ((j+1) b)
+    for q = a / (a + b); the division is exact."""
+    a, d = q.numerator, q.denominator
+    b = d - a
+    term = b**m
+    terms = []
+    for j in range(m + 1):
+        terms.append(term)
+        term = term * (m - j) * a // ((j + 1) * b)
+    return terms, d**m
+
+
+@pytest.mark.parametrize("q", [0.04, 0.25, 0.81])
+@pytest.mark.parametrize("m", [4, 126, 1029, 2046])
+def test_binom_pmf_matches_exact_rationals(m, q):
+    # m = 1029 was the last m whose math.comb(m, j) converted to float;
+    # int / int is the correctly rounded quotient
+    terms, den = exact_binom_pmf(m, Fraction(q))
+    want = np.array([t / den for t in terms])
+    got = binom_pmf(m, q)
+    assert got.shape == (m + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_binom_pmf_rejects_bad_arguments():
+    for m, q in ((-1, 0.5), (4, 0.0), (4, 1.0), (4, float("nan"))):
+        with pytest.raises(InputError):
+            binom_pmf(m, q)
+
+
+def test_proxy_exact_past_the_sampler_cap():
+    # n = 2000, p = 1/2: EY = C(n,3) p^3 and, with one covarying ordered pair
+    # per (4-set, order of its top two labels),
+    # Var Y = C(n,3) p^3 (1 - p^3) + 2 C(n,4) (p^5 - p^6)
+    n, p = 2000, Fraction(1, 2)
+    rep = proxy_exact(n, float(p))
+    var = math.comb(n, 3) * p**3 * (1 - p**3) + 2 * math.comb(n, 4) * (p**5 - p**6)
+    assert rep.mean_y == pytest.approx(float(math.comb(n, 3) * p**3), rel=1e-14)
+    assert rep.var_y == pytest.approx(float(var), rel=1e-14)
+    # gamma = (1-p) c^3 + p sum_j P[B = j] |j - c|^3, B ~ Binomial(n-2, p^2)
+    m = n - 2
+    center = m * p**3
+    terms, den = exact_binom_pmf(m, p * p)
+    body = sum(t * abs(j - center) ** 3 for j, t in enumerate(terms)) / den
+    gamma = (1 - p) * center**3 + p * body
+    assert rep.gamma == pytest.approx(float(gamma), rel=1e-14)
 
 
 def test_proxy_requires_n4():

@@ -282,6 +282,8 @@ def test_couplings_n4_n5():
         assert abs(rep.e_s_enumerated - 1.0) < 1e-10
         assert abs(rep.e_s_analytic - 1.0) < 1e-12
         assert max(rep.weak_extended_residuals.values()) < 1e-9
+        # summed with (iv)'s pair weights, E[G D~] = Var T / s^2 = 1
+        assert abs(rep.e_gd_enumerated - 1.0) <= 1e-12
 
 
 def test_coupling_f_equals_x_is_egd():

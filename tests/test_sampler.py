@@ -11,14 +11,14 @@ import pytest
 from triclt.cli import sample_proxy_w, sample_w
 from triclt.errors import ConfigError, InputError
 from conftest import proxy_brute_force_pmf, proxy_exact_pmf
-from triclt.graphs import MAX_PROXY_N, num_edges
+from triclt.graphs import num_edges
 from triclt.moments import proxy_exact
 from triclt.sampler import (
+    MAX_PROXY_N,
     PURPOSE_GNP_EDGE,
     PURPOSE_PROXY_GROUP,
     SamplerConfig,
     _BLOCK,
-    _binom_cdf,
     _finalize,
     _group_law,
     _group_tables,
@@ -219,11 +219,10 @@ def test_proxy_binomial_cdfs_stay_cached():
     # n = 128 needs 126 group tables; a second call rebuilds none of them
     cfg = SamplerConfig(n=128, p=0.5, seed=3)
     _group_tables.cache_clear()
-    _binom_cdf.cache_clear()
     proxy_samples(cfg, 0, 2)
-    misses = _binom_cdf.cache_info().misses, _group_tables.cache_info().misses
+    misses = _group_tables.cache_info().misses
     proxy_samples(cfg, 2, 2)
-    assert (_binom_cdf.cache_info().misses, _group_tables.cache_info().misses) == misses
+    assert _group_tables.cache_info().misses == misses
 
 
 def test_proxy_single_draw_determinism():
@@ -330,14 +329,10 @@ def test_proxy_rows_do_not_depend_on_the_batch():
 
 
 def test_proxy_size_bound():
-    # the pmf's math.comb(m, j) must convert to float: m = n - 2 <= 1029
+    # the sampler refuses n > 1031, where its tables would pass 154 MiB; the
+    # exact moments need no tables and take any n
     assert MAX_PROXY_N == 1031
-    assert math.isfinite(float(math.comb(1029, 514)))
-    with pytest.raises(OverflowError):
-        float(math.comb(1030, 515))
-    assert _binom_cdf(MAX_PROXY_N - 2, 0.25)[-1] == 1.0
     cfg = SamplerConfig(n=MAX_PROXY_N + 1, p=0.5, seed=1)
     with pytest.raises(InputError):
         proxy_samples(cfg, 0, 1)
-    with pytest.raises(InputError):
-        proxy_exact(MAX_PROXY_N + 1, 0.5)
+    assert math.isfinite(proxy_exact(MAX_PROXY_N + 1, 0.5).be_bound)
