@@ -58,10 +58,11 @@ from .moments import (
     regime_rates,
     theorem2_bound,
 )
+from .oracle import MAX_ORACLE_N, MAX_PER_GRAPH_N, check_capacity
 from .oracle import enumerate_distribution, exact_chf_ode, exact_dk, verify_couplings
 from .coupling import assemble_bound, estimate_r, r3_theoretical, DEFAULT_T_GRID
 from .patterns import enumerate_classes, moment_bound_check, pattern_cov_check
-from .sampler import gnp_edge_bits, proxy_samples, stream_chunks
+from .sampler import MAX_PROXY_N, gnp_edge_bits, proxy_samples, stream_chunks
 
 OUTPUT_DIR_ENV = "TRICLT_OUT"
 DEFAULT_DKW_DELTA = 0.01
@@ -191,6 +192,10 @@ class ExperimentConfig:
             raise ConfigError(f"p={p} outside (0,1)")
         return p
 
+    def points(self) -> list[tuple[int, float]]:
+        """(n, p) for every n of the list, each p resolved."""
+        return [(n, self.resolve_p(n)) for n in self.n_list]
+
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -272,8 +277,7 @@ def _timed(fn, *args):
 
 def _run_moments(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
-    for n in cfg.n_list:
-        p = cfg.resolve_p(n)
+    for n, p in cfg.points():
         mom = exact_moments(n, p)
         rates = regime_rates(n, p)
         records.append(
@@ -297,8 +301,7 @@ def _run_moments(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _run_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
-    for n in cfg.n_list:
-        p = cfg.resolve_p(n)
+    for n, p in cfg.points():
         rates = regime_rates(n, p)
         extra = {
             "thm1_rate": rates.thm1_rate,
@@ -322,8 +325,7 @@ def _run_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def _run_sample_dk(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
-    for n in cfg.n_list:
-        p = cfg.resolve_p(n)
+    for n, p in cfg.points():
         t0 = time.perf_counter()
         w = sample_w(n, p, cfg.samples, cfg.seed, cfg.streams)
         res = empirical_dk(w, cfg.delta)
@@ -348,7 +350,8 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
     t_grid = cfg.t_grid or (0.5, 1.0, 2.0, 4.0)
     for n in cfg.n_list:
-        p = cfg.resolve_p(n)
+        check_capacity(n, MAX_PER_GRAPH_N if cfg.couplings else MAX_ORACLE_N)
+    for n, p in cfg.points():
         dist, timing = _timed(enumerate_distribution, n, p)
         records.append(
             _mkrecord(
@@ -410,8 +413,7 @@ def _run_oracle(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _run_coupling(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
     t_grid = cfg.t_grid or DEFAULT_T_GRID
-    for n in cfg.n_list:
-        p = cfg.resolve_p(n)
+    for n, p in cfg.points():
         if cfg.form == "extended":
             names, parts = ("r3", "r4"), ("r31", "r32", "r33", "r41", "r42", "r43")
         else:
@@ -550,9 +552,11 @@ def _run_rate_fit(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _run_proxy(cfg: ExperimentConfig) -> list[ResultRecord]:
-    records = []
     for n in cfg.n_list:
-        p = cfg.resolve_p(n)
+        if n < 4 or (cfg.samples and n > MAX_PROXY_N):
+            raise InputError(f"proxy needs n >= 4, and n <= {MAX_PROXY_N} to sample; got {n}")
+    records = []
+    for n, p in cfg.points():
         rep = proxy_exact(n, p)
         records.append(
             _mkrecord(
@@ -605,8 +609,10 @@ def run(config: ExperimentConfig) -> tuple[int, list[ResultRecord]]:
     """Dispatch one experiment; returns (exit_code, records)."""
     if config.subcommand not in _SUBCOMMANDS:
         raise InputError(f"unknown subcommand {config.subcommand!r}")
-    if config.subcommand not in ("rate-fit", "patterns") and not config.n_list:
-        raise ConfigError("need at least one n (use --n)")
+    if config.subcommand not in ("rate-fit", "patterns"):
+        if not config.n_list:
+            raise ConfigError("need at least one n (use --n)")
+        config.points()  # a bad p rule fails before any work
     records = _SUBCOMMANDS[config.subcommand](config)
     if not all(_finite([r.value, r.std_error, r.extra]) for r in records):
         raise NumericError("non-finite number in emitted records")
@@ -762,12 +768,12 @@ def _write_records(cfg: ExperimentConfig, records: list[ResultRecord]) -> None:
         for line in lines:
             fh.write(line + "\n")
     if cfg.subcommand == "patterns":
+        # the CSV mirrors the JSONL: rows are appended, the header written once
         csv_path = os.path.splitext(path)[0] + ".csv"
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "anchor,class_id,lemma,m,multiplicity_order,bound_family,"
-                "measured,ratio\n"
-            )
+        new = not os.path.exists(csv_path)
+        with open(csv_path, "a", encoding="utf-8") as fh:
+            if new:
+                fh.write("anchor,class_id,lemma,m,multiplicity_order,bound_family,measured,ratio\n")
             for rec in records:
                 anchor = rec.quantity.replace("pattern_classes_", "")
                 for row in rec.extra["rows"]:

@@ -2,8 +2,8 @@
 
 For a graph, the inner conditional expectations over (V, V') are computed
 exactly by `inner_terms` (sums over all triples / neighbour pairs); the
-exact oracle averages the same function over all graphs with their weights,
-so Monte Carlo randomness enters only through the graph.
+exact oracle reduces the same per-graph `site_counts` over all graphs with
+their weights, so Monte Carlo randomness enters only through the graph.
 
 The sums are taken in histogram form.  With nu = 3(n-3)+1, the local sums
 are integer triangle counts less fixed multiples of p^3:
@@ -93,9 +93,8 @@ FAMILIES = {
     "r3": {"r1": 0.5, "r32": 1.0, "r33": 1.0},
     "r4": {"r41": 1.0, "r42": 1.0, "r43": 1.0},
 }
-# elements per (graphs x pairs) block in inner_terms and in
-# oracle.verify_couplings, and per (graphs x triples) chunk of graph_chunk:
-# every temporary stays near 4 MiB
+# elements per (graphs x pairs) block in site_counts, and per (graphs x
+# triples) chunk of graph_chunk: every temporary stays near 4 MiB
 BLOCK = 1 << 18
 
 
@@ -134,9 +133,9 @@ def _code_histogram(
     return np.bincount(flat, minlength=m * width).reshape(m, width)
 
 
-def _outer_rows(*parts: tuple) -> np.ndarray:
+def outer_rows(*parts: tuple) -> np.ndarray:
     """Stack of class-weight x K-table outer products, one row per histogram
-    column: parts are (weights per class, values per K [x t]) pairs."""
+    column: parts are (weights per class, values per K [x t or T]) pairs."""
     return np.concatenate(
         [np.multiply.outer(wt, f).reshape(-1, *f.shape[1:]) for wt, f in parts]
     )
@@ -150,6 +149,15 @@ def _count_matmul(h: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (h @ table.view(np.float64)).view(np.complex128)
 
 
+def site_values(n: int, p: float) -> tuple:
+    """What a `site_counts` column stands for: X_v by b_v, X_v X_w by
+    b_v + b_w, Y_v by K_v and Y_{v,w} by K_{v,w}, as four arrays."""
+    p3, nu = p**3, 3 * (n - 3) + 1
+    x_b = np.array([-p3, 1.0 - p3])
+    xx_c = np.array([x_b[0] * x_b[0], x_b[0] * x_b[1], x_b[1] * x_b[1]])
+    return x_b, xx_c, *(np.arange(k + 1) - k * p3 for k in (nu, 2 * nu - n))
+
+
 def term_tables(n: int, p: float, t_grid: Sequence[float]) -> dict:
     """The summand of each inner_terms component, tabled over the histogram
     columns: one row per (b_v, K_v), b_v-major, and for the pair components
@@ -159,30 +167,64 @@ def term_tables(n: int, p: float, t_grid: Sequence[float]) -> dict:
     """
     mom = exact_moments(n, p)
     sig = mom.sigma
-    p3 = p**3
-    nu = 3 * (n - 3) + 1
-    nu2 = 2 * nu - n
     t = np.asarray(t_grid, dtype=np.float64)
 
     # tables over K, and the class weights: X_v by b_v, X_v X_w by b_v + b_w
-    y1 = np.arange(nu + 1) - nu * p3
-    y2 = np.arange(nu2 + 1) - nu2 * p3
+    x_b, xx_c, y1, y2 = site_values(n, p)
     ph1 = np.exp(-1j * t / sig * y1[:, None]) - 1.0
     ph2 = np.exp(-1j * t / sig * y2[:, None]) - 1.0
-    x_b = np.array([-p3, 1.0 - p3])
     xx_b = x_b * x_b
-    xx_c = np.array([xx_b[0], x_b[0] * x_b[1], xx_b[1]])
     var_b = np.full(2, mom.var_x)
     cov_c = np.full(3, mom.cov_overlap2)
     return {
-        "r1": _outer_rows((np.abs(x_b), y1 * y1)) / sig**3,
-        "r2": -_outer_rows((x_b, ph1)) / sig,
-        "r41": -_outer_rows((x_b, ph1 + 1j * t / sig * y1[:, None])) / sig,
-        "r32": _outer_rows((xx_b, np.abs(y1)), (np.abs(xx_c), np.abs(y2))) / sig**3,
-        "r33": _outer_rows((var_b, np.abs(y1)), (cov_c, np.abs(y2))) / sig**3,
-        "r42": _outer_rows((xx_b, ph1), (xx_c, ph2)) / sig**2,
-        "r43": _outer_rows((var_b, ph1), (cov_c, ph2)) / sig**2,
+        "r1": outer_rows((np.abs(x_b), y1 * y1)) / sig**3,
+        "r2": -outer_rows((x_b, ph1)) / sig,
+        "r41": -outer_rows((x_b, ph1 + 1j * t / sig * y1[:, None])) / sig,
+        "r32": outer_rows((xx_b, np.abs(y1)), (np.abs(xx_c), np.abs(y2))) / sig**3,
+        "r33": outer_rows((var_b, np.abs(y1)), (cov_c, np.abs(y2))) / sig**3,
+        "r42": outer_rows((xx_b, ph1), (xx_c, ph2)) / sig**2,
+        "r43": outer_rows((var_b, ph1), (cov_c, ph2)) / sig**2,
     }
+
+
+def site_counts(bits: np.ndarray, n: int, pairs: bool) -> np.ndarray:
+    """Each graph's integer site counts, one row per row of the triangle-bit
+    block `bits` (graphs x triples, uint8 0/1, as from
+    `TripleBasis.triangle_bits`): the triples v by (b_v, K_v), b_v-major,
+    then if `pairs` is set the ordered neighbour pairs v != w by
+    (b_v + b_w, K_{v,w}), each unordered pair of the list counted twice;
+    int64, one column per row of `term_tables`.  Pairs run in blocks, so
+    memory is O(m * n_triples + BLOCK).  Raises InputError unless bits is
+    a 2-D uint8 array of 0s and 1s with C(n, 3) columns.
+    """
+    tb = triple_basis(n)
+    if bits.dtype != np.uint8 or bits.ndim != 2 or bits.shape[1] != tb.n_triples:
+        raise InputError(f"bits must be 2-D uint8 with {tb.n_triples} columns for n={n}")
+    if np.any(bits > 1):
+        raise InputError("bits must hold triangle bits: 0 or 1")
+    m = bits.shape[0]
+    nu = tb.nu_size
+    nu2 = 2 * nu - n
+
+    s_count, k_v = tb.y_matrix(bits)
+    # every count and code below, intermediates included, is at most
+    # 2 (nu + nu2 + 1) = 16n - 46, so int16 is exact for n < 2048, past any
+    # n whose TripleBasis fits in memory (C(2048, 3) = 1.4e9 triples)
+    b, s_count, k_v = (a.astype(np.int16) for a in (bits, s_count, k_v))
+    h1 = _code_histogram(b * (nu + 1) + k_v, 2 * (nu + 1))
+    if not pairs:
+        return h1
+    # given K + b (nu2 + 1) in place of K, ypair_columns adds
+    # (b_v + b_w)(nu2 + 1) to K_{v,w}: it returns the histogram code
+    width = 3 * (nu2 + 1)
+    z = k_v + b * (nu2 + 1)
+    step = max(1, BLOCK // m)
+    flat = np.empty(m * step, dtype=np.intp)
+    h2 = np.zeros((m, width), dtype=np.int64)
+    for lo in range(0, tb.n_pairs, step):
+        code = tb.ypair_columns(b, s_count, z, slice(lo, lo + step))
+        h2 += _code_histogram(code, width, flat)
+    return np.hstack([h1, 2 * h2])
 
 
 def inner_terms(
@@ -200,66 +242,27 @@ def inner_terms(
         r42 -> E^g[G D~ (e^{itD'} - 1)] = (1/s^2) sum X_v X_w (e^{-itY_{v,w}/s} - 1)
         r43 -> E^g[S (e^{itD'} - 1)]    = (1/s^2) sum sigma_{v,w} (...)
 
-    Histogram form.  Each X_u is b_u - p^3 with b_u the triangle bit, so
-    with nu = |nu_v| = 3(n-3)+1 and |nu_v u nu_w| = 2nu - n for w != v,
-
-        Y_v     = K_v     - nu p^3,         K_v     in 0..nu,
-        Y_{v,w} = K_{v,w} - (2nu - n) p^3,  K_{v,w} in 0..2nu-n,
-
-    where the K are triangle counts over the neighbourhoods.  A summand
-    depends only on (b_v, K_v), or for w != v on (b_v + b_w, K_{v,w}); pairs
-    with w = v have Y_{v,v} = Y_v and reuse the (b_v, K_v) counts.  So one
-    bincount per block gives each graph's integer counts H, and a component
-    is H @ table, with the summand tabled once per (class, K) and t by
-    `term_tables`.  w in nu_v iff v in nu_w, and both Y_{v,w} = Y_{w,v} and
-    b_v + b_w are symmetric, so the pair list holds each unordered pair
-    once and its counts are doubled.  Bits, S and K are cast to int16 once
-    per call: every code, intermediates included, is at most 16n - 46, so
-    the counts are exact integers, and the output is the same bit for bit
-    as with float64 counts over every ordered pair.
+    Histogram form (module docstring): a summand depends only on
+    (b_v, K_v), or for w != v on (b_v + b_w, K_{v,w}), and w = v reuses
+    (b_v, K_v).  A component is the graph's `site_counts` @ its
+    `term_tables` table, the same bit for bit as with float64 counts over
+    every ordered pair.
 
     `terms` names the components wanted.  Each comes back as a real (m,)
-    array, or for the per-t components a complex (m, len(t_grid)) array.  Pair
-    counts run over blocks of pairs, so memory is O(m * n_triples + BLOCK).
-    Raises InputError unless bits is a 2-D uint8 array of 0s and 1s with
-    C(n, 3) columns.
+    array, or for the per-t components a complex (m, len(t_grid)) array;
+    pairs are counted only for a pair component.  Raises InputError as
+    `site_counts` does.
     """
     terms = set(terms)
     if not terms <= set(COMPONENTS):
         raise InputError(f"unknown components {sorted(terms - set(COMPONENTS))}")
-    tb = triple_basis(n)
-    if bits.dtype != np.uint8 or bits.ndim != 2 or bits.shape[1] != tb.n_triples:
-        raise InputError(f"bits must be 2-D uint8 with {tb.n_triples} columns for n={n}")
-    if np.any(bits > 1):
-        raise InputError("bits must hold triangle bits: 0 or 1")
-    m = bits.shape[0]
-    nu = tb.nu_size
-    nu2 = 2 * nu - n
     tables = term_tables(n, p, t_grid)
-
-    s_count, k_v = tb.y_matrix(bits)
-    # every count and code below, intermediates included, is at most
-    # 2 (nu + nu2 + 1) = 16n - 46, so int16 is exact for n < 2048, past any
-    # n whose TripleBasis fits in memory (C(2048, 3) = 1.4e9 triples)
-    b, s_count, k_v = (a.astype(np.int16) for a in (bits, s_count, k_v))
-    h1 = _code_histogram(b * (nu + 1) + k_v, 2 * (nu + 1)).astype(np.float64)
     # a table with rows past the (b_v, K_v) block also sums over pairs
-    pair_terms = {name for name in terms if len(tables[name]) > h1.shape[1]}
-    out = {name: _count_matmul(h1, tables[name]) for name in terms - pair_terms}
-    if pair_terms:
-        # given K + b (nu2 + 1) in place of K, ypair_columns adds
-        # (b_v + b_w)(nu2 + 1) to K_{v,w}: it returns the histogram code
-        width = 3 * (nu2 + 1)
-        z = k_v + b * (nu2 + 1)
-        step = max(1, BLOCK // m)
-        flat = np.empty(m * step, dtype=np.intp)
-        h2 = np.zeros((m, width), dtype=np.int64)
-        for lo in range(0, tb.n_pairs, step):
-            code = tb.ypair_columns(b, s_count, z, slice(lo, lo + step))
-            h2 += _code_histogram(code, width, flat)
-        h = np.hstack([h1, 2.0 * h2])
-        out.update((name, _count_matmul(h, tables[name])) for name in pair_terms)
-    return out
+    width = len(tables["r1"])
+    pair_terms = {name for name in terms if len(tables[name]) > width}
+    h = site_counts(bits, n, bool(pair_terms)).astype(np.float64)
+    return {name: _count_matmul(h if name in pair_terms else h[:, :width], tables[name])
+            for name in terms}
 
 
 # ---------------------------------------------------------------------------

@@ -248,8 +248,9 @@ class TripleBasis:
     is symmetric), so the pair list holds each neighbour pair {v, w} once,
     as v < w: v-major, then w in colex order, C(n,3) * 3(n-3) / 2 pairs.  It
     has no w = v rows; Y_{v,v} is Y_v.  `ypair_columns` computes in the
-    dtype it is given: float64 for centred rows, int16 bits, S and K for
-    those counts.
+    dtype it is given: int16 bits, S and K for those counts (as
+    `coupling.site_counts` does), or float64 centred rows, which only the
+    tests pass.
     """
 
     n: int
@@ -282,7 +283,9 @@ class TripleBasis:
         return (e[:, r[:, 0]] & e[:, r[:, 1]] & e[:, r[:, 2]]).astype(np.uint8)
 
     def x_matrix(self, tri_bits: np.ndarray, p: float) -> np.ndarray:
-        """Centred indicators X for triangle-bit rows."""
+        """Centred indicators X for triangle-bit rows.  The program counts
+        from the bits themselves; this is kept for the tests and for the
+        benchmark's tracer (perfbench/tracing.py)."""
         return tri_bits.astype(np.float64) - p**3
 
     def y_matrix(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

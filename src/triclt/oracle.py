@@ -25,9 +25,12 @@ V only through (b_V, K_V):
 * `exact_chf_ode` takes phi and phi' from the same sums, and a(t), b(t) from
   the per-T rows (sum_k w_k M[k, T]) @ the `coupling.term_tables` summands.
 
-The variances over graphs in `exact_r_terms` and the per-graph identities in
-`verify_couplings` are not linear in these counts; they still run over the
-enumerated graphs, each neighbour pair of the `TripleBasis` taken once.
+The r-terms and the coupling identities also need neighbour pairs: for
+n <= MAX_PER_GRAPH_N one pass over the graphs gives each graph's integer
+`coupling.site_counts`, against which every summand is a table.
+`exact_r_terms` reduces them to their weighted mean and covariance (a per-t
+variance is table^H cov table), `verify_couplings` to weighted sums per T;
+these float sums are accurate to a few ulp, not exactly rounded.
 
 The coupling quantities follow the construction used throughout the
 toolkit: V uniform on triples, V' uniform on the neighbourhood nu_V,
@@ -51,13 +54,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coupling import BLOCK, COMPONENTS, FAMILIES, T_POWERS, compose, graph_chunk
-from .coupling import inner_terms, term_tables
+from .coupling import COMPONENTS, FAMILIES, T_POWERS, compose, graph_chunk, outer_rows
+from .coupling import site_counts, site_values, term_tables
 from .errors import CapacityError, InputError
 from .graphs import Graph, num_edges, num_triples, triple_basis
 from .moments import exact_moments, kolmogorov_distance
 
 MAX_ORACLE_N = 7
+# the routines that pass over every graph's site counts: 2^15 graphs at n = 6
+MAX_PER_GRAPH_N = 6
 FSUM_SLICE = 1 << 16  # values per list handed to math.fsum
 
 _FUNCTION_FAMILY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -96,7 +101,7 @@ def fsum_complex(a: np.ndarray) -> complex:
     return complex(fsum_array(a.real), fsum_array(a.imag))
 
 
-def _check_capacity(n: int, limit: int = MAX_ORACLE_N) -> None:
+def check_capacity(n: int, limit: int = MAX_ORACLE_N) -> None:
     if n < 3:
         raise InputError(f"need n >= 3, got {n}")
     if n > limit:
@@ -113,7 +118,7 @@ class OracleArrays:
 
 @lru_cache(maxsize=2)
 def oracle_arrays(n: int) -> OracleArrays:
-    _check_capacity(n)
+    check_capacity(n)
     ne = num_edges(n)
     masks = np.arange(1 << ne, dtype=np.uint32)
     pop = np.bitwise_count(masks).astype(np.uint8)
@@ -144,7 +149,7 @@ def class_counts(n: int) -> np.ndarray:
     Shape (E + 1, C(n,3) + 1, 2, 3(n-3) + 2), int64, read-only.  Built from
     triple 0 alone and scaled by C(n,3); see the module docstring.
     """
-    _check_capacity(n)
+    check_capacity(n)
     tb = triple_basis(n)
     arr = oracle_arrays(n)
     tri = arr.tri_bits
@@ -240,30 +245,18 @@ def exact_expectation(
 
 
 # ---------------------------------------------------------------------------
-# Per-graph inner terms
+# Per-graph site counts
 # ---------------------------------------------------------------------------
 
 
-def _per_graph_terms(
-    n: int, p: float, t_grid: Sequence[float], terms: Iterable[str]
-) -> dict[str, np.ndarray]:
-    """coupling.inner_terms for every enumerated graph, in enumeration order,
-    computed over chunks of coupling.graph_chunk graphs."""
+def _site_count_chunks(n: int):
+    """(rows, counts) over chunks of coupling.graph_chunk enumerated graphs:
+    each graph's coupling.site_counts, pairs included, as float64."""
     arr = oracle_arrays(n)
-    tb = triple_basis(n)
-    size = arr.popcount.size
-    out = {
-        name: np.empty((size, len(t_grid)), dtype=np.complex128)
-        if name in T_POWERS
-        else np.empty(size)
-        for name in terms
-    }
-    step = graph_chunk(tb.n_triples)
-    for lo in range(0, size, step):
-        bits = arr.tri_bits[lo : lo + step]
-        for name, values in inner_terms(bits, n, p, t_grid, terms).items():
-            out[name][lo : lo + len(bits)] = values
-    return out
+    step = graph_chunk(num_triples(n))
+    for lo in range(0, arr.popcount.size, step):
+        rows = slice(lo, lo + step)
+        yield rows, site_counts(arr.tri_bits[rows], n, pairs=True).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +285,7 @@ def exact_chf_ode(n: int, p: float, t: float) -> OdeCheck:
     They are taken over the (k, T, b_V, K_V) classes of `class_counts`.
     At t = 0 the limiting convention a = b = 0, residual 0 applies.
     """
-    _check_capacity(n)
+    check_capacity(n)
     if t == 0.0:
         return OdeCheck(t=0.0, phi=1.0 + 0j, phi_prime=0j, a_t=0j, b_t=0j, residual=0.0)
     counts = class_counts(n)
@@ -347,14 +340,15 @@ def verify_couplings(
     (iv)  E[(G D~ - S) h(W'')] = 0 for each named h (the testable surrogate
           of the matching W''-conditional expectations).
 
-    Chunks of graphs take all V at once.  V' = V gives W'' = W'; any other
-    pair, its summand symmetric, comes once from the pair list with weight 2,
-    in blocks of at most coupling.BLOCK (graph, pair) elements.  Each
-    summand of (iv) has mean zero on its own, so a wrong pair weight would
-    not show there; E[G D~], summed over the same pairs with the same
-    weights, should be Var T / s^2 = 1 and is reported as e_gd_enumerated.
+    A summand of (i) or (iv) depends on T and one site-count column (V' = V
+    gives W'' = W'), so each is a table over (column, T) against the site
+    counts summed per T with the graphs' weights.  (ii) checks each graph's
+    pair counts against its (b_v, K_v) counts.  Each summand of (iv) has
+    mean zero on its own, so a wrong pair count would not show there;
+    E[G D~] over the same counts should be Var T / s^2 = 1 and is reported
+    as e_gd_enumerated.
     """
-    _check_capacity(n, limit=6)
+    check_capacity(n, limit=MAX_PER_GRAPH_N)
     arr = oracle_arrays(n)
     tb = triple_basis(n)
     mom = exact_moments(n, p)
@@ -362,65 +356,45 @@ def verify_couplings(
     c3, kappa = tb.n_triples, tb.nu_size
     family = {name: resolve_test_function(name) for name in f_family}
     w = graph_weights(n, p, arr.popcount)
-    w_all = (arr.tri_bits.sum(axis=1, dtype=np.float64) - c3 * p**3) / sigma
-    nbr = np.eye(c3)
-    nbr[tb.pair_v, tb.pair_w] = nbr[tb.pair_w, tb.pair_v] = 1.0
+    x_b, xx_c, y1, y2 = site_values(n, p)
     # S on the c3 pairs with V' = V, and on the 2 n_pairs others
     scale = c3 * kappa / sigma**2
     s_same, s_other = scale * mom.var_x, scale * mom.cov_overlap2
 
-    # per graph: the sums over V in (i) and over (V, V') in (iv), (ii)'s gap
-    eq5_g = {name: np.empty(w.size, dtype=np.complex128) for name in family}
-    weak_g = {name: np.empty(w.size, dtype=np.complex128) for name in family}
+    # (ii)'s two sides: sum_{v, w in nu_v} X_v X_w and sum_v X_v Y_v
+    xx = outer_rows((x_b * x_b, np.ones_like(y1)), (xx_c, np.ones_like(y2)))
+    xy = outer_rows((x_b, y1))  # over the (b_v, K_v) columns
+    width = len(xy)
+    # per T, the weighted counts of its graphs (columns x T); per graph, (ii)
+    by_t = np.zeros((len(xx), c3 + 1))
     gd_gap = np.empty(w.size)
-    gd_g = np.empty(w.size)  # the sum of G D~ over (V, V')
-    pair_weight = 2.0  # a listed pair {V, V'} stands for (V, V') and (V', V)
-    chunk = graph_chunk(c3)
-    for lo in range(0, w.size, chunk):
-        rows = slice(lo, lo + chunk)
-        x = tb.x_matrix(arr.tri_bits[rows], p)
-        s, y = tb.y_matrix(x)
-        w_stat = w_all[rows, None]
-        w_prime = w_stat - y / sigma  # W' as function of (g, V)
-        g_over_v = -(c3 / sigma) * x  # G as function of (g, V)
-        # (ii) both sides per graph, each by its own literal average
-        lhs_g = np.sum(g_over_v * (-(kappa / sigma) * (x @ nbr)), axis=1) / (c3 * kappa)
-        gd_gap[rows] = lhs_g - np.mean(g_over_v * (-y / sigma), axis=1)
-        gd_same = scale * x * x  # G D~ on the pairs with V' = V
-        gd_g[rows] = np.sum(gd_same, axis=1)
-        for name, f in family.items():
-            f_prime = f(w_prime)
-            eq5_g[name][rows] = np.sum(g_over_v * (f_prime - f(w_stat)), axis=1)
-            weak_g[name][rows] = np.sum((gd_same - s_same) * f_prime, axis=1)
-        # (iv) on the other pairs: each block of Y_{v,w} columns feeds every h
-        step = max(1, BLOCK // len(x))
-        for first in range(0, tb.n_pairs, step):
-            pairs = slice(first, first + step)
-            gdt = scale * x[:, tb.pair_v[pairs]] * x[:, tb.pair_w[pairs]]
-            wpp = w_stat - tb.ypair_columns(x, s, y, pairs) / sigma
-            gd_g[rows] += pair_weight * np.sum(gdt, axis=1)
-            for name, h in family.items():
-                weak_g[name][rows] += pair_weight * np.sum((gdt - s_other) * h(wpp), axis=1)
+    for rows, h in _site_count_chunks(n):
+        t_g = arr.tri_bits[rows].sum(axis=1)
+        by_t += (w[rows, None] * h).T @ (t_g[:, None] == np.arange(c3 + 1))
+        gd_gap[rows] = (h @ xx - h[:, :width] @ xy) / sigma**2
 
-    eq5 = {
-        name: abs(fsum_complex(w * eq5_g[name] / c3) - fsum_complex(w * w_all * f(w_all)))
-        for name, f in family.items()
-    }
-    per_graph = float(np.max(np.abs(gd_gap)))
-    e_s_enum = (c3 * s_same + 2 * tb.n_pairs * s_other) / (c3 + 2 * tb.n_pairs)
-    e_s_analytic = c3 * (mom.var_x + 3.0 * (n - 3) * mom.cov_overlap2) / mom.var_t
-    weak = {name: abs(fsum_complex(w * a / (c3 * kappa))) for name, a in weak_g.items()}
-    e_gd = math.fsum(w * gd_g) / (c3 * kappa)
-
+    w_t = (np.arange(c3 + 1) - c3 * p**3) / sigma  # W as function of T
+    prob_t = by_t[:width].sum(axis=0) / c3
+    w_prime = w_t - y1[:, None] / sigma  # W' by (K_V, T)
+    w_pair = w_t - y2[:, None] / sigma  # W'' by (K_{V,V'}, T), V' != V
+    eq5, weak = {}, {}
+    for name, f in family.items():
+        # G (f(W') - f(W)) with G = -c3 X_V / sigma
+        eq5_table = outer_rows((-c3 / sigma * x_b, f(w_prime) - f(w_t)))
+        eq5[name] = float(abs(np.sum(by_t[:width] * eq5_table) / c3 - np.sum(prob_t * w_t * f(w_t))))
+        weak_table = outer_rows(
+            (scale * x_b * x_b - s_same, f(w_prime)), (scale * xx_c - s_other, f(w_pair))
+        )
+        weak[name] = float(abs(np.sum(by_t * weak_table))) / (c3 * kappa)
     return CouplingReport(
         n=n,
         p=p,
         eq5_residuals=eq5,
-        per_graph_gd_residual=per_graph,
-        e_s_enumerated=e_s_enum,
-        e_s_analytic=e_s_analytic,
+        per_graph_gd_residual=float(np.max(np.abs(gd_gap))),
+        e_s_enumerated=(c3 * s_same + 2 * tb.n_pairs * s_other) / (c3 + 2 * tb.n_pairs),
+        e_s_analytic=c3 * (mom.var_x + 3.0 * (n - 3) * mom.cov_overlap2) / mom.var_t,
         weak_extended_residuals=weak,
-        e_gd_enumerated=e_gd,
+        e_gd_enumerated=float(by_t.sum(axis=1) @ xx) / sigma**2,
     )
 
 
@@ -446,25 +420,34 @@ class RTermsExact:
     r4: float              # sum of the sups of sqrt(r4k)/|t|^power (coupling.FAMILIES)
 
 
-def _weighted_cvar(w: np.ndarray, z: np.ndarray) -> float:
-    """Population variance of a complex graph functional under weights w."""
-    mean = fsum_complex(w * z)
-    return fsum_array(w * np.abs(z - mean) ** 2)
-
-
 def exact_r_terms(n: int, p: float, t_grid: Sequence[float]) -> RTermsExact:
     """Exact coupling r-terms: inner expectations averaged exactly over
-    (V, V'), outer moments and variances summed exactly over all graphs."""
+    (V, V'), outer means and variances over all graphs from the weighted
+    mean and covariance of their site counts."""
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(t == 0.0 for t in t_grid):
         raise InputError("t_grid must be nonempty with t != 0")
-    _check_capacity(n, limit=6)
+    check_capacity(n, limit=MAX_PER_GRAPH_N)
     w = graph_weights(n, p, oracle_arrays(n).popcount)
-    g = _per_graph_terms(n, p, t_grid, COMPONENTS)
-    means = {c: fsum_array(w * g[c]) for c in COMPONENTS if c not in T_POWERS}
-    var_by_t = {
-        c: {t: _weighted_cvar(w, g[c][:, k]) for k, t in enumerate(t_grid)} for c in T_POWERS
-    }
+    # each chunk's weighted mean and centred second moment, merged into the
+    # running ones (Chan et al.): no cancellation at any p
+    total, mean, cov = 0.0, 0.0, 0.0
+    for rows, h in _site_count_chunks(n):
+        wc = w[rows]
+        part = wc.sum()
+        delta = wc @ h / part - mean
+        d = h - (mean + delta)
+        cov = cov + (wc[:, None] * d).T @ d + np.outer(delta, delta) * (total * part / (total + part))
+        total += part
+        mean = mean + delta * (part / total)
+
+    tables = term_tables(n, p, t_grid)
+    means = {c: float(mean[: len(tables[c])] @ tables[c]) for c in COMPONENTS if c not in T_POWERS}
+    var_by_t = {}
+    for c in T_POWERS:
+        table = tables[c]
+        var = np.sum(table.conj() * (cov[: len(table), : len(table)] @ table), axis=0).real
+        var_by_t[c] = dict(zip(t_grid, var.tolist()))
     sd_by_t = {
         c: {t: math.sqrt(v) / abs(t) ** power for t, v in var_by_t[c].items()}
         for c, power in T_POWERS.items()

@@ -422,6 +422,41 @@ def test_main_exit_codes(tmp_path):
         assert main(["rate-fit", "--input", str(records)]) == 2
 
 
+def test_every_n_is_checked_before_any_work(monkeypatch, tmp_path):
+    # a bad n late in the list fails the run before the first n is worked on
+    def never(*args, **kwargs):
+        raise AssertionError("work began before every n was checked")
+
+    for name in ("sample_w", "sample_proxy_w", "enumerate_distribution"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(["sample-dk", "--n", "128,8", "--p", "power:1,0.6",
+                 "--samples", "100000"]) == 2          # n p < 4 at n = 8
+    assert main(["proxy", "--n", "128,1032", "--p", "fixed:0.5",
+                 "--samples", "200000"]) == 1          # past the sampler's cap
+    assert main(["proxy", "--n", "16,3", "--p", "fixed:0.5"]) == 1
+    assert main(["oracle", "--n", "7,8", "--p", "fixed:0.5"]) == 3
+    assert main(["oracle", "--n", "7", "--p", "fixed:0.5", "--couplings"]) == 3
+    # without sampling, the proxy model's exact part takes any n >= 4
+    out = tmp_path / "proxy.jsonl"
+    assert main(["proxy", "--n", "2000", "--p", "fixed:0.5", "--samples", "0",
+                 "--out", str(out)]) == 0
+    assert [json.loads(line)["quantity"] for line in out.read_text().splitlines()] == [
+        "proxy_exact"
+    ]
+
+
+def test_patterns_csv_mirrors_the_appended_jsonl(tmp_path):
+    out = tmp_path / "f.jsonl"
+    for _ in range(2):
+        assert main(["patterns", "--anchors", "r411", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    csv_lines = (tmp_path / "f.csv").read_text().splitlines()
+    assert csv_lines[0].startswith("anchor,class_id,")
+    assert sum(line.startswith("anchor,") for line in csv_lines) == 1
+    assert len(records) == 2
+    assert len(csv_lines) - 1 == sum(len(r["extra"]["rows"]) for r in records) == 12
+
+
 def test_python_m_triclt_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -18,6 +18,7 @@ from triclt.coupling import (
     phi_kernel,
     psi_kernel,
     r3_theoretical,
+    site_counts,
 )
 from triclt.errors import InputError
 from triclt.graphs import (
@@ -196,6 +197,9 @@ def test_graph_conditional_rejects_non_indicator_rows():
     ):
         with pytest.raises(InputError):
             inner_terms(bad, n, p, [1.3], ("r2",))
+        for pairs in (False, True):
+            with pytest.raises(InputError):
+                site_counts(bad, n, pairs)
 
 
 def test_graph_conditional_variance_matches_exact_r2():

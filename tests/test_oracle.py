@@ -18,9 +18,9 @@ from triclt.graphs import (
     num_triples,
     triangle_count,
 )
+from triclt.coupling import DEFAULT_T_GRID, inner_terms, site_counts
 from triclt.moments import exact_moments, normal_cdf
 from triclt.oracle import (
-    _per_graph_terms,
     class_counts,
     enumerate_distribution,
     exact_chf_ode,
@@ -62,6 +62,29 @@ def test_class_counts_match_brute_force(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_class_counts_total(n):
     assert class_counts(n).sum() == num_triples(n) * 2 ** num_edges(n)
+
+
+# ---------------------------------------------------------------------------
+# site counts of the enumerated graphs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_site_counts_summed_per_t_match_class_counts(n):
+    # two constructions of the same integers: every triple of every graph
+    # through y_matrix and the pair list, against triple 0 scaled by C(n,3)
+    arr = oracle_arrays(n)
+    h = site_counts(arr.tri_bits, n, pairs=True)
+    c3, nu = num_triples(n), 3 * (n - 3) + 1
+    t_g = arr.tri_bits.sum(axis=1)
+    per_t = np.stack([h[t_g == t, : 2 * (nu + 1)].sum(axis=0) for t in range(c3 + 1)])
+    assert np.array_equal(per_t, class_counts(n).sum(axis=0).reshape(c3 + 1, -1))
+    # each graph has 2 n_pairs ordered neighbour pairs v != w
+    n_pairs = c3 * 3 * (n - 3) // 2
+    assert h.shape[1] == 2 * (nu + 1) + 3 * (2 * nu - n + 1)
+    assert h[:, 2 * (nu + 1) :].sum() == 2 * n_pairs * 2 ** num_edges(n)
+    assert np.all(h[:, 2 * (nu + 1) :].sum(axis=1) == 2 * n_pairs)
+    assert np.array_equal(site_counts(arr.tri_bits, n, pairs=False), h[:, : 2 * (nu + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +266,7 @@ def per_graph_ode(n: int, p: float, t: float) -> tuple:
     w = graph_weights(n, p, arr.popcount)
     w_stat = (arr.tri_bits.sum(axis=1) - num_triples(n) * p**3) / exact_moments(n, p).sigma
     e_itw = np.exp(1j * t * w_stat)
-    inner = _per_graph_terms(n, p, [t], ("r2", "r41"))
+    inner = inner_terms(arr.tri_bits, n, p, [t], ("r2", "r41"))
     lin, full = inner["r2"][:, 0], inner["r41"][:, 0]
     mean_lin = fsum_complex(w * lin)
     return (
@@ -275,7 +298,8 @@ def test_ode_residual_definition_consistent():
 
 
 def test_couplings_n4_n5():
-    for n, p in ((4, 0.5), (5, 0.3)):
+    # n = 6 is the size the benchmark runs
+    for n, p in ((4, 0.5), (5, 0.3), (6, 0.7)):
         rep = verify_couplings(n, p, ("1", "x", "x2", "sin", "exp:0.7"))
         assert max(rep.eq5_residuals.values()) < 1e-9
         assert rep.per_graph_gd_residual < 1e-9
@@ -327,6 +351,58 @@ def test_r1_matches_reversed_order_brute_force():
     val = exact_r_terms(4, 0.5, [1.0]).r1
     assert val == pytest.approx(brute_force_r1(4, 0.5), abs=1e-12)
     assert val == pytest.approx(2.5298221281347044, abs=1e-11)  # regression pin
+
+
+def brute_force_r_terms(n: int, p: float, ts: list) -> dict:
+    """r1, r32, r33 and, as 'r41(t)' etc., the variances over graphs of the
+    r41/r42/r43 inner means, from scalar set-based sums over every graph."""
+    mom = exact_moments(n, p)
+    sig = mom.sigma
+    ts = np.asarray(ts, dtype=np.float64)
+    ne = num_edges(n)
+    triples = list(combinations(range(n), 3))
+    nbhd = {v: sorted(neighborhood(v, n)) for v in triples}
+    weights, inner = [], []
+    for mask in range(1 << ne):
+        g = Graph(n, mask)
+        weights.append(p ** g.edge_count() * (1 - p) ** (ne - g.edge_count()))
+        c = {name: np.zeros(len(ts), dtype=np.complex128) for name in ("r41", "r42", "r43")}
+        c.update(r1=0.0, r32=0.0, r33=0.0)
+        x = {v: centered_indicator(g, p, v) for v in triples}
+        for v in triples:
+            y_v = local_sum(g, p, v)
+            c["r1"] += abs(x[v]) * y_v**2 / sig**3
+            c["r41"] += -x[v] * (np.exp(-1j * ts * y_v / sig) - 1.0 + 1j * ts * y_v / sig) / sig
+            for w in nbhd[v]:
+                y_vw = local_sum(g, p, v, None if w == v else w)
+                s_vw = mom.var_x if w == v else mom.cov_overlap2
+                phase = np.exp(-1j * ts * y_vw / sig) - 1.0
+                c["r32"] += abs(x[v] * x[w]) * abs(y_vw) / sig**3
+                c["r33"] += s_vw * abs(y_vw) / sig**3
+                c["r42"] += x[v] * x[w] * phase / sig**2
+                c["r43"] += s_vw * phase / sig**2
+        inner.append(c)
+    out = {name: math.fsum(wt * c[name] for wt, c in zip(weights, inner))
+           for name in ("r1", "r32", "r33")}
+    for name in ("r41", "r42", "r43"):
+        for k, t in enumerate(ts.tolist()):
+            z = np.array([c[name][k] for c in inner])
+            dev = np.abs(z - fsum_complex(np.array(weights) * z)) ** 2
+            out[f"{name}({t})"] = math.fsum(wt * a for wt, a in zip(weights, dev))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exact_r_terms_match_set_based_brute_force(n):
+    p, ts = 0.3, [DEFAULT_T_GRID[6], DEFAULT_T_GRID[20]]
+    rt = exact_r_terms(n, p, ts)
+    want = brute_force_r_terms(n, p, ts)
+    want["r31"] = want["r1"]  # r3's r1 component
+    got = {"r1": rt.r1, "r31": rt.r31, "r32": rt.r32, "r33": rt.r33}
+    got.update((f"{c}({t})", getattr(rt, f"{c}_by_t")[t]) for c in ("r41", "r42", "r43") for t in ts)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert value == pytest.approx(want[name], rel=1e-12, abs=0.0), name
 
 
 def test_r2_finite_small_t_limit():
